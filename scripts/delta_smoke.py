@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Smoke-test delta checkpoints, chain compaction and replay bisection.
 
-Five independent gates, any of which fails CI:
+Six independent gates, any of which fails CI:
 
 1. **Chain identity** -- across every protection profile and every
    clock kind, capture a root snapshot plus a chain of delta
@@ -24,6 +24,10 @@ Five independent gates, any of which fails CI:
    record as a scan of an uninterrupted twin -- and the deep search
    must re-generate strictly fewer events than ``linear_scan`` from
    the oldest checkpoint.
+6. **Log tails** -- no delta captured by the gates above stores a
+   whole append-only log where a tail applies, and over eight links of
+   identical work the non-blob bytes of a delta stay flat (link 8
+   within 10% of link 2) instead of growing with the run.
 
 Exit status: 0 on success, 1 with diagnostics on any failure.
 
@@ -54,6 +58,20 @@ def rewrite(swarm, round_index: int) -> None:
                         for offset in range(256))
         ram.load(64, payload)
         ram.load(ram.size // 2, payload)
+
+
+def full_logs(document) -> list:
+    """Append-only logs a delta stores whole instead of as a tail."""
+    from repro.snapshot.delta import _log_instances
+    return [ident for ident, (box, field)
+            in _log_instances(document["state"], document["kind"]).items()
+            if isinstance(box[field], list)]
+
+
+def state_bytes(document) -> int:
+    """Encoded size of a document outside its blob payloads."""
+    return (len(canonical(document))
+            - sum(len(blob) for blob in document["blobs"].values()))
 
 
 def capture_chain(swarm, links: int):
@@ -96,6 +114,7 @@ def main(argv=None) -> int:
 
     failures = []
     variants = 0
+    deltas = []     # every delta the gates capture, for gate 6
 
     # Gates 1 + 2: chain identity and restore-and-continue, across
     # every protection profile and every clock kind.
@@ -114,6 +133,7 @@ def main(argv=None) -> int:
         live = build()
         live.sweep()
         chain, full = capture_chain(live, args.links)
+        deltas.extend((label, delta) for delta in chain[1:])
         folded = materialize_chain(chain)
         if canonical(folded) != canonical(full):
             failures.append(f"{label}: folded chain differs from the "
@@ -165,6 +185,7 @@ def main(argv=None) -> int:
         fleet_full = engine.snapshot()
         continued = engine.sweep()
         continued_states = engine.device_states()
+    deltas.extend(("fleet engine", delta) for delta in fleet_chain[1:])
     fleet_folded = materialize_chain(fleet_chain)
     if canonical(fleet_folded) != canonical(fleet_full):
         failures.append(f"fleet engine: folded chain differs from the "
@@ -206,6 +227,7 @@ def main(argv=None) -> int:
         recorded.sweep()
         documents.append(recorded.snapshot(parent=documents[-1]))
 
+    deltas.extend(("bisect", delta) for delta in documents[1:])
     truth = build_faulted()
     for _ in range(sweeps):
         truth.sweep()
@@ -253,6 +275,32 @@ def main(argv=None) -> int:
                 f"event(s), not fewer than the linear scan's "
                 f"{baseline['events_replayed']}")
 
+    # Gate 6: log tails, and state bytes that track the work of a link
+    # rather than the length of the run.
+    flat = Swarm(args.size, observe=True, incremental=True,
+                 seed="delta-smoke-flat")
+    flat.sweep()
+    flat_chain = [flat.snapshot()]
+    for _ in range(8):
+        flat.sweep()
+        flat_chain.append(flat.snapshot(parent=flat_chain[-1]))
+    deltas.extend(("flat", delta) for delta in flat_chain[1:])
+    for label, delta in deltas:
+        whole = full_logs(delta)
+        if whole:
+            failures.append(f"tails[{label}]: {len(whole)} log(s) stored "
+                            f"whole where a tail applies, e.g. {whole[0]}")
+            break
+    link_bytes = [state_bytes(delta) for delta in flat_chain[1:]]
+    if link_bytes[7] > link_bytes[1] * 1.10:
+        failures.append(f"tails: delta state bytes grow with the run "
+                        f"(link 2: {link_bytes[1]} B, link 8: "
+                        f"{link_bytes[7]} B)")
+    if canonical(materialize_chain(flat_chain)) != \
+            canonical(flat.snapshot()):
+        failures.append("tails: folded 8-link chain differs from the "
+                        "direct full snapshot")
+
     if failures:
         for failure in failures:
             print(f"delta-smoke: FAIL: {failure}", file=sys.stderr)
@@ -261,7 +309,9 @@ def main(argv=None) -> int:
           f"profile/clock variants, sharded x {args.workers} workers at "
           f"size {args.fleet_size}, compaction exact, bisect found seq "
           f"{expected['seq']} replaying {found['events_replayed']} vs "
-          f"linear {baseline['events_replayed']} event(s))",
+          f"linear {baseline['events_replayed']} event(s), {len(deltas)} "
+          f"deltas all tails, state {link_bytes[1]} -> {link_bytes[7]} B "
+          f"over links 2..8)",
           file=sys.stderr)
     return 0
 

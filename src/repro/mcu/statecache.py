@@ -64,7 +64,8 @@ class StateDigestCache:
     registry dumps (the PR 5 equivalence gate).
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("max_entries", "hits", "misses", "evictions", "epoch",
+                 "_entries")
 
     def __init__(self, max_entries: int = 256):
         if max_entries < 0:
@@ -74,6 +75,12 @@ class StateDigestCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Bumped whenever the entries stop being an append-at-back,
+        #: evict-at-front log with ``evictions`` counting the front --
+        #: a counter reset (:meth:`clear`, :meth:`reset_stats`) or an
+        #: in-place value change.  Within one epoch a delta checkpoint
+        #: can store just the entries inserted since its parent.
+        self.epoch = 0
         self._entries: dict[tuple, bytes] = {}
 
     def __len__(self) -> int:
@@ -90,10 +97,15 @@ class StateDigestCache:
 
     def store(self, key: tuple, digest: bytes) -> None:
         """Insert ``digest`` under ``key``, evicting the oldest entry
-        when full (never evicts in unbounded mode)."""
-        if (self.max_entries
-                and key not in self._entries
-                and len(self._entries) >= self.max_entries):
+        when full (never evicts in unbounded mode).  A resident key is
+        updated in place and keeps its FIFO position."""
+        existing = self._entries.get(key)
+        if existing is not None:
+            if existing != digest:
+                self._entries[key] = digest
+                self.epoch += 1
+            return
+        if self.max_entries and len(self._entries) >= self.max_entries:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
             self.evictions += 1
@@ -111,10 +123,12 @@ class StateDigestCache:
         self.reset_stats()
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters, keeping cached entries."""
+        """Zero the hit/miss/eviction counters, keeping cached entries
+        (starts a new :attr:`epoch`)."""
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.epoch += 1
 
     def stats(self) -> dict:
         """JSON-ready effectiveness counters."""

@@ -515,7 +515,8 @@ _SNAPSHOT_STATE_REQUIRED = {
 
 #: Version identifier of *delta* checkpoint documents: a checkpoint
 #: recorded against a parent document, carrying per region only the
-#: chunks whose ``DigestTree`` leaves are dirty since the parent (see
+#: chunks whose ``DigestTree`` leaves are dirty since the parent, and
+#: per append-only log only the entries appended since it (see
 #: ``repro.snapshot.delta`` and ``docs/checkpoint.md``).
 SNAPSHOT_DELTA_SCHEMA_ID = "repro.snapshot.delta/v1"
 

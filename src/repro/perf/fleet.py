@@ -245,15 +245,14 @@ def _shard_restore(state: dict, blobs_encoded: dict) -> None:
     restore_swarm(_SHARD, state, BlobStore.decode(blobs_encoded))
 
 
-def _shard_snapshot_delta(parent_swarm_state: dict,
-                          parent_blobs_encoded: dict) -> dict:
+def _shard_snapshot_delta(base) -> dict:
     """Capture the resident shard as a delta against its slice of a
-    parent checkpoint.  The parent ships pre-subset: just this shard's
-    region fingerprints, chunk-digest indexes and fallback images --
-    O(shard), not O(fleet), across the process boundary."""
-    from ..snapshot import BlobStore, DeltaBase, snapshot_swarm
-    base = DeltaBase.for_swarm_state(
-        parent_swarm_state, BlobStore.decode(parent_blobs_encoded))
+    parent checkpoint.  ``base`` (a :class:`~repro.snapshot.DeltaBase`)
+    ships pre-subset: this shard's region records, chunk-digest indexes
+    and fallback images plus its parent log counts -- never the
+    parent's log entries -- so O(shard), not O(fleet history), crosses
+    the process boundary."""
+    from ..snapshot import BlobStore, snapshot_swarm
     blobs = BlobStore()
     return {"swarm": snapshot_swarm(_SHARD, blobs, parent=base),
             "blobs": blobs.encode()}
@@ -439,8 +438,10 @@ restore>` accepts the same document for sequential resume.
         from -- full or delta, same worker count and shard partition),
         every shard captures a ``repro.snapshot.delta/v1`` delta
         *in parallel* against its own slice of the parent: each worker
-        receives only its members' parent records, diffs its regions'
-        digest-tree leaves, and ships back O(dirty) chunk blobs.
+        receives only its members' parent region records and log
+        counts, diffs its regions' digest-tree leaves, and ships back
+        O(dirty) chunk blobs plus the log entries added since the
+        parent.
         """
         from ..snapshot import (BlobStore, DeltaBase, document_id,
                                 make_delta_document, make_document,
@@ -487,10 +488,10 @@ restore>` accepts the same document for sequential resume.
             for pool, parent_shard in zip(self._executors,
                                           parent_state["shards"]):
                 swarm_state = parent_shard["swarm"]
-                subset = parent_blobs.subset(
-                    parent_blob_keys(swarm_state)).encode()
-                futures.append(pool.submit(_shard_snapshot_delta,
-                                           swarm_state, subset))
+                base = DeltaBase.for_swarm_state(
+                    swarm_state,
+                    parent_blobs.subset(parent_blob_keys(swarm_state)))
+                futures.append(pool.submit(_shard_snapshot_delta, base))
             shards = []
             for block, future in zip(blocks, futures):
                 shard = future.result()

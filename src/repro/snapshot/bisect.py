@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ..errors import SnapshotError
 from ..obs.schema import SNAPSHOT_DELTA_SCHEMA_ID
-from .delta import _session_states, materialize_chain
+from .delta import _record_counts, _session_states, materialize_chain
 
 __all__ = ["bisect_replay", "checkpoint_trace_length", "linear_scan"]
 
@@ -42,7 +42,9 @@ def checkpoint_trace_length(document: dict) -> int:
             raise SnapshotError(
                 "bisection needs observed checkpoints (the captured "
                 "swarm must have been built with observe=True)")
-        total += len(telemetry["trace"]["records"])
+        cumulative, evicted, _ = _record_counts(
+            telemetry["trace"], "telemetry.trace.records", "trace records")
+        total += cumulative - evicted
     return total
 
 

@@ -34,6 +34,24 @@ always travels verbatim on the region record -- it is tiny, genuinely
 per-device, and below the fingerprint bound, so no chunk diffing
 applies.
 
+Append-only logs (the channel transcript, verifier results, busy
+intervals, interrupt logs, breaker transitions, event traces, the
+state-digest cache; see :data:`LOG_FIELDS`) travel as **tails** in a
+delta instead of whole lists:
+
+``{"base": B, "tail": [...]}``
+    ``B`` is the log's cumulative entry count at the parent; ``tail``
+    holds only the entries appended since.
+``{"base": B, "evicted": E, "tail": [...]}``
+    Front-evicting logs additionally record how many entries fell off
+    the front since the parent.
+
+Capture writes a tail only when the parent's recorded counts prove the
+live log was merely appended to (and front-evicted) since then; any
+other history -- a count below the parent's, a cleared cache -- falls
+back to the plain full list, which folding accepts anywhere.  So a
+delta costs O(dirty chunks + new entries), not O(history).
+
 Chain identity: every document is addressed by :func:`document_id`, the
 SHA-1 of its canonical JSON; a delta's ``parent_id`` must equal its
 parent's id, so a chain is verified end to end before any folding.
@@ -49,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import islice
 
 from ..errors import SnapshotError
 from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
@@ -56,12 +75,34 @@ from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
 from .blobs import BlobStore
 from .document import load_document, make_document
 
-__all__ = ["DeltaBase", "ParentMember", "capture_region_delta",
-           "compact_chain", "document_id", "load_chain",
-           "make_delta_document", "materialize_chain", "parent_blob_keys",
-           "unwrap_parent", "verify_chain"]
+__all__ = ["DeltaBase", "LOG_FIELDS", "ParentMember", "capture_log",
+           "capture_region_delta", "compact_chain", "document_id",
+           "load_chain", "make_delta_document", "materialize_chain",
+           "parent_blob_keys", "unwrap_parent", "verify_chain"]
 
 _DIGEST_LEN = 20
+
+#: Every append-only log a delta stores as a tail, by dotted path from
+#: its scope's state (``"session"``: one per member; ``"swarm"``: one
+#: per swarm or fleet shard) to ``(scope, counter, epoch)``.  A ``*``
+#: segment expands over the keys of a dict (one breaker per device).
+#: ``counter`` names the sibling key totalling entries evicted from the
+#: front (so ``counter + len`` is the cumulative count), ``epoch`` a
+#: sibling key that changes whenever the log changes in any other way
+#: (a reset, an in-place edit); both are ``None`` for logs that only
+#: ever append.
+LOG_FIELDS = {
+    "channel.transcript": ("session", None, None),
+    "verifier_node.results": ("session", None, None),
+    "anchor.busy_intervals": ("session", None, None),
+    "telemetry.trace.records": ("session", "dropped_events", None),
+    "device.interrupts.dispatched": ("session", None, None),
+    "device.interrupts.coalesced": ("session", None, None),
+    "device.interrupts.dropped": ("session", None, None),
+    "breakers.*.transitions": ("swarm", None, None),
+    "state_cache.entries": ("swarm", "evictions", "epoch"),
+    "trace_marks": ("swarm", None, None),
+}
 
 
 def document_id(document: dict) -> str:
@@ -101,6 +142,8 @@ def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
         raise SnapshotError(
             f"delta parent kind mismatch: document is "
             f"{document['kind']!r}, expected {kind!r}")
+    if document["schema"] == SNAPSHOT_SCHEMA_ID:
+        _reject_tails(document["state"], kind, "a full parent document")
     return document["state"], BlobStore.decode(document["blobs"])
 
 
@@ -119,6 +162,16 @@ def _session_states(state: dict, kind: str) -> list[dict]:
         f"snapshot kind {kind!r} has no delta form (no region images)")
 
 
+def _swarm_states(state: dict, kind: str) -> list[dict]:
+    """The swarm-scope payloads of a document state: none for a
+    session, the state itself for a swarm, one per fleet shard."""
+    if kind == "swarm":
+        return [state]
+    if kind == "fleet":
+        return [shard["swarm"] for shard in state["shards"]]
+    return []
+
+
 def _identity(state: dict, kind: str) -> list | None:
     if kind == "session":
         return None
@@ -131,15 +184,17 @@ def _identity(state: dict, kind: str) -> list | None:
 
 
 class ParentMember:
-    """One member's view of a parent checkpoint: its region records
-    plus the parent's blob store (for chunk-digest indexes and
-    fallback image chunking)."""
+    """One member's view of a parent checkpoint: its region records,
+    the parent's blob store (for chunk-digest indexes and fallback
+    image chunking) and its session-scope log counts (see
+    :func:`capture_log`)."""
 
-    __slots__ = ("regions", "blobs")
+    __slots__ = ("regions", "blobs", "logs")
 
-    def __init__(self, regions: dict, blobs: BlobStore):
+    def __init__(self, regions: dict, blobs: BlobStore, logs: dict):
         self.regions = regions
         self.blobs = blobs
+        self.logs = logs
 
     def chunk_digests(self, name: str, chunk_size: int,
                       window_size: int) -> list[bytes] | None:
@@ -188,15 +243,20 @@ class DeltaBase:
     """A parent checkpoint unpacked for delta capture.
 
     Holds one :class:`ParentMember` per member session (sharing the
-    parent's blob store) plus the member identity list used to refuse
-    capture against a mismatched fleet.
+    parent's blob store), the member identity list used to refuse
+    capture against a mismatched fleet, and the swarm-scope log counts
+    (empty unless built from one swarm payload).  It references none
+    of the parent's log entries, so a fleet ships it to shard workers
+    at O(members) cost.
     """
 
-    __slots__ = ("_members", "identity")
+    __slots__ = ("_members", "identity", "logs")
 
-    def __init__(self, members: list[ParentMember], identity: list | None):
+    def __init__(self, members: list[ParentMember], identity: list | None,
+                 logs: dict):
         self._members = members
         self.identity = identity
+        self.logs = logs
 
     def member(self, index: int) -> ParentMember:
         return self._members[index]
@@ -211,8 +271,8 @@ class DeltaBase:
 
     @classmethod
     def for_swarm_state(cls, state: dict, blobs: BlobStore) -> "DeltaBase":
-        """Build from a bare swarm-kind state payload (fleet shard
-        workers receive their shard's slice this way)."""
+        """Build from a bare swarm-kind state payload (a fleet builds
+        one per shard this way and ships it to the shard's worker)."""
         return cls._from_state(state, "swarm", blobs)
 
     @classmethod
@@ -222,8 +282,10 @@ class DeltaBase:
         for session in _session_states(state, kind):
             regions = {record["name"]: record
                        for record in session["device"]["regions"]}
-            members.append(ParentMember(regions, blobs))
-        return cls(members, _identity(state, kind))
+            members.append(ParentMember(regions, blobs,
+                                        _log_counts(session, "session")))
+        logs = _log_counts(state, "swarm") if kind == "swarm" else {}
+        return cls(members, _identity(state, kind), logs)
 
 
 def parent_blob_keys(swarm_state: dict) -> list[str]:
@@ -241,6 +303,234 @@ def parent_blob_keys(swarm_state: dict) -> list[str]:
                     seen.add(key)
                     keys.append(key)
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Append-only logs: tail records
+# ---------------------------------------------------------------------------
+
+def _log_slots(scope_state: dict, name: str) -> list[tuple]:
+    """Where log ``name`` lives in one scope payload: ``(key, box,
+    field)`` per instance (``key`` is the ``*`` dict key, else
+    ``None``).  Absent or ``None`` logs (no telemetry, no cache) yield
+    nothing."""
+    *path, field = name.split(".")
+    boxes = [(None, scope_state)]
+    for part in [*path, None]:
+        found = []
+        for key, box in boxes:
+            if not isinstance(box, dict):
+                raise SnapshotError(f"log {name}: expected an object on "
+                                    f"its path, got {type(box).__name__}")
+            if part is None:
+                if box.get(field) is not None:
+                    found.append((key, box, field))
+            elif part == "*":
+                found.extend(box.items())
+            elif box.get(part) is not None:
+                found.append((key, box[part]))
+        boxes = found
+    return boxes
+
+
+def _label(name: str, key) -> str:
+    return f"log {name}" if key is None else f"log {name}[{key}]"
+
+
+def _count(box: dict, key: str | None, where: str) -> int:
+    if key is None:
+        return 0
+    value = box.get(key, 0)
+    if type(value) is not int or value < 0:
+        raise SnapshotError(f"{where}: {key} must be a non-negative "
+                            f"integer, got {value!r}")
+    return value
+
+
+def _tail_parts(record, fifo: bool, where: str) -> tuple[int, list, int]:
+    """Validate a tail record; returns ``(base, tail, evicted)``."""
+    if not isinstance(record, dict):
+        raise SnapshotError(f"{where}: record must be a list or a tail "
+                            f"object, got {type(record).__name__}")
+    expected = {"base", "tail", "evicted"} if fifo else {"base", "tail"}
+    if set(record) != expected:
+        raise SnapshotError(f"{where}: tail record keys "
+                            f"{sorted(record)}, expected {sorted(expected)}")
+    base, tail = record["base"], record["tail"]
+    evicted = record.get("evicted", 0)
+    for label, value in (("base", base), ("evicted", evicted)):
+        if type(value) is not int or value < 0:
+            raise SnapshotError(f"{where}: tail {label} must be a "
+                                f"non-negative integer, got {value!r}")
+    if not isinstance(tail, list):
+        raise SnapshotError(f"{where}: tail must be a list, got "
+                            f"{type(tail).__name__}")
+    return base, tail, evicted
+
+
+def _record_counts(box: dict, name: str, where: str) -> tuple[int, int, int]:
+    """``(cumulative, evicted, epoch)`` of one recorded log, full list
+    or tail, read from its own document alone."""
+    _, counter, epoch = LOG_FIELDS[name]
+    field = name.rsplit(".", 1)[-1]
+    evicted = _count(box, counter, where)
+    record = box[field]
+    if isinstance(record, list):
+        cumulative = evicted + len(record)
+    else:
+        base, tail, _ = _tail_parts(record, counter is not None, where)
+        cumulative = base + len(tail)
+        if evicted > cumulative:
+            raise SnapshotError(
+                f"{where}: {counter} {evicted} exceeds the log's "
+                f"cumulative count {cumulative}")
+    return cumulative, evicted, _count(box, epoch, where)
+
+
+def _scope_logs(payload: dict, scope: str):
+    """``(name, key, box, field)`` for every log of ``scope`` recorded
+    in one scope payload."""
+    for name, (log_scope, _, _) in LOG_FIELDS.items():
+        if log_scope == scope:
+            for key, box, field in _log_slots(payload, name):
+                yield name, key, box, field
+
+
+def _log_counts(payload: dict, scope: str) -> dict:
+    """``{(name, key): (cumulative, evicted, epoch)}`` for every log of
+    ``scope`` recorded in a parent payload."""
+    return {(name, key): _record_counts(box, name, _label(name, key))
+            for name, key, box, _ in _scope_logs(payload, scope)}
+
+
+def _last(entries, count: int):
+    if isinstance(entries, list):
+        return entries[len(entries) - count:]
+    return reversed(list(islice(reversed(entries), count)))
+
+
+def capture_log(entries, encode, parent, name: str, key=None, *,
+                evicted: int = 0, epoch: int = 0):
+    """Record one live log (``LOG_FIELDS`` entry ``name``) for a
+    snapshot.
+
+    Without a ``parent`` (or without its counts for this log) the
+    result is the full encoded list, exactly as a full snapshot stores
+    it.  Against a parent (a :class:`ParentMember` or
+    :class:`DeltaBase`) whose counts prove the live log only grew at
+    the back and lost entries at the front since then, it is a tail
+    record holding just the new entries.  ``entries`` is any sized,
+    reversible sequence (a list, a dict's items); ``evicted`` is the
+    live front-eviction counter and ``epoch`` the live reset epoch.
+    """
+    counts = parent.logs.get((name, key)) if parent is not None else None
+    if counts is not None:
+        base, parent_evicted, parent_epoch = counts
+        size = len(entries)
+        appended = evicted + size - base
+        gone = evicted - parent_evicted
+        if (epoch == parent_epoch and 0 <= gone <= base - parent_evicted
+                and 0 <= appended <= size):
+            record = {"base": base,
+                      "tail": [encode(entry)
+                               for entry in _last(entries, appended)]}
+            if LOG_FIELDS[name][1] is not None:
+                record["evicted"] = gone
+            return record
+    return [encode(entry) for entry in entries]
+
+
+def _log_instances(state: dict, kind: str) -> dict:
+    """Every log recorded in a document state, keyed by ``(scope,
+    payload index, name, key)`` -> ``(box, field)``."""
+    instances = {}
+    for scope, payloads_of in (("session", _session_states),
+                               ("swarm", _swarm_states)):
+        for index, payload in enumerate(payloads_of(state, kind)):
+            for name, key, box, field in _scope_logs(payload, scope):
+                instances[(scope, index, name, key)] = (box, field)
+    return instances
+
+
+def _where(ident: tuple) -> str:
+    scope, index, name, key = ident
+    return f"{scope} {index} {_label(name, key)}"
+
+
+def _reject_tails(state: dict, kind: str, what: str) -> None:
+    """A full snapshot stores whole logs; refuse any tail record."""
+    for ident, (box, field) in _log_instances(state, kind).items():
+        if not isinstance(box[field], list):
+            raise SnapshotError(f"{_where(ident)}: tail record in {what}; "
+                                f"a full snapshot stores whole logs")
+
+
+def _check_log_links(documents: list[dict]) -> list[dict]:
+    """Every tail must extend its parent's log exactly: its base equals
+    the parent's cumulative count, it evicts no more than the parent
+    held, and the document's eviction counter agrees.  Returns each
+    document's :func:`_log_instances`."""
+    kind = documents[0]["kind"]
+    _reject_tails(documents[0]["state"], kind, "the chain root")
+    chain = [_log_instances(documents[0]["state"], kind)]
+    for position, document in enumerate(documents[1:], start=1):
+        previous = chain[-1]
+        current = _log_instances(document["state"], kind)
+        for ident, (box, field) in current.items():
+            name = ident[2]
+            where = f"{_where(ident)} at chain document {position}"
+            cumulative, counter, _ = _record_counts(box, name, where)
+            record = box[field]
+            if isinstance(record, list):
+                continue
+            base, _, evicted = _tail_parts(
+                record, LOG_FIELDS[name][1] is not None, where)
+            parent = previous.get(ident)
+            if parent is None:
+                raise SnapshotError(f"{where}: tail has no parent log to "
+                                    f"extend")
+            parent_cumulative, parent_counter, _ = _record_counts(
+                parent[0], name, where)
+            if base != parent_cumulative:
+                raise SnapshotError(
+                    f"{where}: tail base {base} does not match the "
+                    f"parent's cumulative count {parent_cumulative}")
+            if evicted > parent_cumulative - parent_counter:
+                raise SnapshotError(
+                    f"{where}: tail evicts {evicted} entries but the "
+                    f"parent held {parent_cumulative - parent_counter}")
+            if counter != parent_counter + evicted:
+                raise SnapshotError(
+                    f"{where}: eviction counter {counter} disagrees with "
+                    f"the parent's {parent_counter} plus {evicted} evicted")
+        chain.append(current)
+    return chain
+
+
+def _fold_logs(chain: list[dict]) -> None:
+    """Replace every tail record of the last document in ``chain`` (log
+    instances per document, the last over a private copy of the tip
+    state) by the full log: the newest full list in the chain with each
+    later tail applied.  Links were checked by :func:`_check_log_links`."""
+    for ident, (box, field) in chain[-1].items():
+        tails = []
+        record = box[field]
+        position = len(chain) - 1
+        while not isinstance(record, list):
+            tails.append(record)
+            position -= 1
+            parent_box, _ = chain[position][ident]
+            record = parent_box[field]
+        if not tails:
+            continue
+        entries = list(record)
+        start = 0
+        for tail in reversed(tails):
+            start += tail.get("evicted", 0)
+            entries.extend(tail["tail"])
+        # The entries are shared with the input documents; a JSON
+        # round trip keeps the folded document independent of them.
+        box[field] = json.loads(json.dumps(entries[start:]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +599,13 @@ def capture_region_delta(region, parent: ParentMember,
 def verify_chain(documents: list[dict]) -> None:
     """Check a root-first document list is a well-formed delta chain:
     full root, delta descendants of one kind, each ``parent_id``
-    matching the :func:`document_id` of the document before it."""
+    matching the :func:`document_id` of the document before it, and
+    each log tail extending its parent's log."""
+    _verify(documents)
+
+
+def _verify(documents: list[dict]) -> list[dict]:
+    """:func:`verify_chain`, returning each document's log instances."""
     if not documents:
         raise SnapshotError("delta chain is empty")
     root = documents[0]
@@ -335,6 +631,7 @@ def verify_chain(documents: list[dict]) -> None:
                 f"{document['parent_id']} does not match the previous "
                 f"document's id {previous_id}")
         previous_id = document_id(document)
+    return _check_log_links(documents)
 
 
 def materialize_chain(documents: list[dict]) -> dict:
@@ -342,17 +639,21 @@ def materialize_chain(documents: list[dict]) -> dict:
 
     The result is byte-identical (canonical JSON) to a full snapshot
     captured at the tip: the tip's non-region state travels verbatim,
-    and each region image is the root image with every chunk overlay
-    applied in chain order, verified against the tip's chunk-digest
-    index when one was recorded.
+    each log tail is appended to its log as folded so far, and each
+    region image is the root image with every chunk overlay applied in
+    chain order, verified against the tip's chunk-digest index when one
+    was recorded.
     """
-    verify_chain(documents)
+    chain_logs = _verify(documents)
     root = documents[0]
     kind = root["kind"]
     tip = documents[-1]
     # Deep copy via JSON round-trip: the fold strips "delta" keys from
-    # the tip's region records in place and must not mutate the input.
+    # the tip's region records and replaces its log tails in place, and
+    # must not mutate the input.
     state = json.loads(json.dumps(tip["state"]))
+    chain_logs[-1] = _log_instances(state, kind)
+    _fold_logs(chain_logs)
     doc_states = [document["state"] for document in documents[:-1]]
     doc_states.append(state)
     doc_sessions = [_session_states(s, kind) for s in doc_states]

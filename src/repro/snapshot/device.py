@@ -27,6 +27,7 @@ from ..errors import SnapshotError
 from ..mcu.cpu import ExecutionContext
 from .blobs import BlobStore
 from .codec import b64, unb64
+from .delta import capture_log, capture_region_delta
 
 __all__ = ["snapshot_device", "restore_device"]
 
@@ -42,12 +43,11 @@ def snapshot_device(device, blobs: BlobStore, parent=None) -> dict:
     region records carry a ``delta`` entry instead of putting the whole
     window image into ``blobs`` -- only chunks whose digest-tree leaves
     changed since the parent checkpoint are stored (see
-    :func:`repro.snapshot.delta.capture_region_delta`).  The per-member
-    prefix (below the fingerprint-exclude bound) always travels
-    verbatim either way.
+    :func:`repro.snapshot.delta.capture_region_delta`), and interrupt
+    logs carry only the entries added since it.  The per-member prefix
+    (below the fingerprint-exclude bound) always travels verbatim
+    either way.
     """
-    if parent is not None:
-        from .delta import capture_region_delta
     regions = []
     for region in device.memory:
         if region._data is None:
@@ -77,7 +77,7 @@ def snapshot_device(device, blobs: BlobStore, parent=None) -> dict:
                      for name, ctx in sorted(device._contexts.items())
                      if name not in _BUILTIN_CONTEXTS],
         "clock": _snapshot_clock(device.clock),
-        "interrupts": _snapshot_interrupts(device.interrupts),
+        "interrupts": _snapshot_interrupts(device.interrupts, parent),
     }
     return snap
 
@@ -198,12 +198,15 @@ def _restore_clock(clock, state: dict | None) -> None:
         clock.wraps_serviced = state["wraps_serviced"]
 
 
-def _snapshot_interrupts(interrupts) -> dict:
+def _snapshot_interrupts(interrupts, parent=None) -> dict:
     return {"pending": list(interrupts._pending),
             "mask_bits": interrupts.mask._bits,
-            "coalesced": [list(entry) for entry in interrupts.coalesced_log],
-            "dispatched": [list(entry) for entry in interrupts.dispatch_log],
-            "dropped": [list(entry) for entry in interrupts.dropped_log]}
+            "coalesced": capture_log(interrupts.coalesced_log, list, parent,
+                                     "device.interrupts.coalesced"),
+            "dispatched": capture_log(interrupts.dispatch_log, list, parent,
+                                      "device.interrupts.dispatched"),
+            "dropped": capture_log(interrupts.dropped_log, list, parent,
+                                   "device.interrupts.dropped")}
 
 
 def _restore_interrupts(interrupts, state: dict) -> None:

@@ -27,6 +27,7 @@ from ..obs.trace import EventTrace, TraceEvent
 from .blobs import BlobStore
 from .codec import (b64, decode_message, encode_adversary, encode_message,
                     restore_adversary, restore_rng, rng_state, unb64)
+from .delta import capture_log
 from .device import restore_device, snapshot_device
 
 __all__ = ["snapshot_session", "restore_session"]
@@ -37,7 +38,8 @@ def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
 
     With a ``parent`` (:class:`repro.snapshot.delta.ParentMember`), the
     device's region records carry chunk deltas against the parent
-    checkpoint instead of whole images (see ``repro.snapshot.delta``).
+    checkpoint instead of whole images, and append-only logs carry only
+    the entries added since it (see ``repro.snapshot.delta``).
     """
     if session.sim.pending:
         raise SnapshotError(
@@ -51,11 +53,12 @@ def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
         "sim": {"now": session.sim.now,
                 "events_processed": session.sim.events_processed},
         "device": snapshot_device(session.device, blobs, parent=parent),
-        "channel": _snapshot_channel(session.channel),
+        "channel": _snapshot_channel(session.channel, parent),
         "verifier": _snapshot_verifier(session.verifier),
-        "verifier_node": _snapshot_verifier_node(session.verifier_node),
-        "anchor": _snapshot_anchor(session.anchor),
-        "telemetry": _snapshot_telemetry(session.telemetry),
+        "verifier_node": _snapshot_verifier_node(session.verifier_node,
+                                                 parent),
+        "anchor": _snapshot_anchor(session.anchor, parent),
+        "telemetry": _snapshot_telemetry(session.telemetry, parent),
     }
 
 
@@ -82,7 +85,13 @@ def restore_session(session, snap: dict, blobs: BlobStore) -> None:
 # Channel (transcript, counters, fault state)
 # ---------------------------------------------------------------------------
 
-def _snapshot_channel(channel) -> dict:
+def _encode_transcript_entry(entry) -> dict:
+    return {"time": entry.time, "sender": entry.sender,
+            "receiver": entry.receiver, "outcome": entry.outcome,
+            "message": encode_message(entry.message)}
+
+
+def _snapshot_channel(channel, parent=None) -> dict:
     return {
         "latency_rng": rng_state(channel._latency_rng),
         "delivered": channel.delivered,
@@ -90,10 +99,9 @@ def _snapshot_channel(channel) -> dict:
         "injected": channel.injected,
         "duplicated": channel.duplicated,
         "adversary": encode_adversary(channel.adversary),
-        "transcript": [{"time": entry.time, "sender": entry.sender,
-                        "receiver": entry.receiver, "outcome": entry.outcome,
-                        "message": encode_message(entry.message)}
-                       for entry in channel.transcript._entries],
+        "transcript": capture_log(channel.transcript._entries,
+                                  _encode_transcript_entry, parent,
+                                  "channel.transcript"),
     }
 
 
@@ -140,7 +148,7 @@ def _restore_verifier(verifier, state: dict) -> None:
     restore_rng(verifier._challenge_rng, state["challenge_rng"])
 
 
-def _snapshot_verifier_node(node) -> dict:
+def _snapshot_verifier_node(node, parent=None) -> dict:
     return {
         "outstanding": [b64(request.to_bytes())
                         for request in node._outstanding],
@@ -148,8 +156,10 @@ def _snapshot_verifier_node(node) -> dict:
         # request-time table, so it is serialized as ordered pairs.
         "request_times": [[challenge.hex(), when]
                           for challenge, when in node._request_times.items()],
-        "results": [[r.authentic, r.state_known_good, r.detail]
-                    for r in node.results],
+        "results": capture_log(
+            node.results,
+            lambda r: [r.authentic, r.state_known_good, r.detail],
+            parent, "verifier_node.results"),
         "last_result_time": node.last_result_time,
         "last_round_seconds": node.last_round_seconds,
     }
@@ -171,12 +181,12 @@ def _restore_verifier_node(node, state: dict) -> None:
 # Prover trust anchor
 # ---------------------------------------------------------------------------
 
-def _snapshot_anchor(anchor) -> dict:
+def _snapshot_anchor(anchor, parent=None) -> dict:
     nonces = anchor.state._nonces
     return {
         "last_attest_seconds": anchor._last_attest_seconds,
-        "busy_intervals": [[start, end]
-                           for start, end in anchor.busy_intervals],
+        "busy_intervals": capture_log(anchor.busy_intervals, list, parent,
+                                      "anchor.busy_intervals"),
         "stats": {"received": anchor.stats.received,
                   "accepted": anchor.stats.accepted,
                   "rejected": dict(anchor.stats.rejected),
@@ -213,13 +223,16 @@ def _restore_anchor(anchor, state: dict) -> None:
 # Telemetry (metrics registry + event trace)
 # ---------------------------------------------------------------------------
 
-def _snapshot_telemetry(telemetry) -> dict | None:
+def _snapshot_telemetry(telemetry, parent=None) -> dict | None:
     if not telemetry.enabled or telemetry.registry is None:
         return None
     trace = telemetry.trace
     return {
         "registry": telemetry.registry.dump(),
-        "trace": {"records": trace.as_records(),
+        "trace": {"records": capture_log(
+                      trace.events, TraceEvent.as_dict, parent,
+                      "telemetry.trace.records",
+                      evicted=trace.dropped_events),
                   "seq": trace._seq,
                   "dropped_events": trace.dropped_events,
                   "max_events": trace.max_events},

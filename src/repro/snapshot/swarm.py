@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from ..errors import SnapshotError
 from .blobs import BlobStore
+from .delta import capture_log
 from .session import restore_session, snapshot_session
 
 __all__ = ["snapshot_swarm", "restore_swarm", "replay_to_seq"]
@@ -35,8 +36,9 @@ def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
 
     With a ``parent`` (:class:`repro.snapshot.delta.DeltaBase`), each
     member's region records carry chunk deltas against the parent
-    checkpoint instead of whole images -- the parent's member identity
-    list must match this swarm's exactly.
+    checkpoint instead of whole images, and append-only logs carry only
+    the entries added since it -- the parent's member identity list
+    must match this swarm's exactly.
     """
     if parent is not None:
         identity = [(member.device_id, member.index)
@@ -53,11 +55,13 @@ def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
                          parent=(parent.member(i) if parent is not None
                                  else None))}
                     for i, member in enumerate(swarm.members)],
-        "breakers": {device_id: _snapshot_breaker(breaker)
+        "breakers": {device_id: _snapshot_breaker(breaker, device_id,
+                                                  parent)
                      for device_id, breaker in swarm.breakers.items()},
-        "state_cache": (_snapshot_cache(swarm.state_cache)
+        "state_cache": (_snapshot_cache(swarm.state_cache, parent)
                         if swarm.state_cache is not None else None),
-        "trace_marks": ([list(marks) for marks in swarm._trace_marks]
+        "trace_marks": (capture_log(swarm._trace_marks, list, parent,
+                                    "trace_marks")
                         if swarm.observe else None),
     }
 
@@ -126,11 +130,12 @@ def replay_to_seq(swarm, snap: dict, blobs: BlobStore, target_seq: int, *,
 # Pieces
 # ---------------------------------------------------------------------------
 
-def _snapshot_breaker(breaker) -> dict:
+def _snapshot_breaker(breaker, device_id: str, parent=None) -> dict:
     return {"state": breaker.state,
             "consecutive_failures": breaker.consecutive_failures,
             "probes_skipped": breaker.probes_skipped,
-            "transitions": [list(t) for t in breaker.transitions]}
+            "transitions": capture_log(breaker.transitions, list, parent,
+                                       "breakers.*.transitions", device_id)}
 
 
 def _restore_breaker(breaker, state: dict) -> None:
@@ -140,7 +145,7 @@ def _restore_breaker(breaker, state: dict) -> None:
     breaker.transitions = [tuple(t) for t in state["transitions"]]
 
 
-def _snapshot_cache(cache) -> dict:
+def _snapshot_cache(cache, parent=None) -> dict:
     # Insertion order carries the FIFO-eviction semantics.  Two key
     # shapes exist: history keys are tuples of (start, end, fingerprint)
     # span triples and encode as the original list-of-triples; content
@@ -149,10 +154,19 @@ def _snapshot_cache(cache) -> dict:
     # encode tagged as ["content", [[...], ...]].  Decode dispatches on
     # the first element -- a string only ever means a content key, so
     # old documents (whose first element is a triple list) still load.
-    return {"hits": cache.hits, "misses": cache.misses,
-            "max_entries": cache.max_entries,
-            "entries": [[_encode_cache_key(key), digest.hex()]
-                        for key, digest in cache._entries.items()]}
+    # The epoch travels only once it moved (see StateDigestCache.epoch),
+    # so documents of never-reset caches keep their shape.
+    state = {"hits": cache.hits, "misses": cache.misses,
+             "evictions": cache.evictions,
+             "max_entries": cache.max_entries,
+             "entries": capture_log(
+                 cache._entries.items(),
+                 lambda item: [_encode_cache_key(item[0]), item[1].hex()],
+                 parent, "state_cache.entries",
+                 evicted=cache.evictions, epoch=cache.epoch)}
+    if cache.epoch:
+        state["epoch"] = cache.epoch
+    return state
 
 
 def _encode_cache_key(key: tuple) -> list:
@@ -181,3 +195,5 @@ def _restore_cache(cache, state: dict) -> None:
         cache._entries[_decode_cache_key(spans)] = bytes.fromhex(digest)
     cache.hits = state["hits"]
     cache.misses = state["misses"]
+    cache.evictions = state.get("evictions", 0)
+    cache.epoch = state.get("epoch", 0)

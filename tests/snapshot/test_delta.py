@@ -19,6 +19,7 @@ from repro.errors import SnapshotError
 from repro.incremental import DEFAULT_CHUNK_SIZE, DigestTree
 from repro.mcu.device import DeviceConfig
 from repro.mcu.profiles import ALL_PROFILES
+from repro.mcu.statecache import StateDigestCache
 from repro.obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID,
                               validate_registry_dump,
                               validate_snapshot_delta)
@@ -30,7 +31,7 @@ from repro.snapshot import (BlobStore, bisect_replay,
                             document_id, linear_scan, load_chain,
                             load_document, materialize_chain,
                             save_document, verify_chain)
-from repro.snapshot.delta import _session_states
+from repro.snapshot.delta import _log_instances, _session_states
 from repro.snapshot.swarm import _decode_cache_key, _encode_cache_key
 
 
@@ -245,6 +246,246 @@ class TestDeltaChain:
         save_document(chain[1], tmp_path / "orphan.json")
         with pytest.raises(SnapshotError, match="parent_path"):
             load_chain(tmp_path / "orphan.json")
+
+
+def log_records(document):
+    """Every append-only log record of a document, by instance."""
+    return {ident: box[field] for ident, (box, field)
+            in _log_instances(document["state"], document["kind"]).items()}
+
+
+def relink(chain):
+    """Re-point every ``parent_id`` at the document before it, so a
+    tampered document still links into its chain."""
+    for position in range(1, len(chain)):
+        chain[position]["parent_id"] = document_id(chain[position - 1])
+    return chain
+
+
+def channel(document, member=0):
+    return _session_states(document["state"],
+                           document["kind"])[member]["channel"]
+
+
+class TestLogTails:
+    def test_delta_logs_are_tails(self):
+        swarm = build_swarm()
+        swarm.sweep()
+        chain, full = capture_chain(swarm, 2)
+        records = log_records(chain[-1])
+        names = {ident[2] for ident in records}
+        assert {"channel.transcript", "verifier_node.results",
+                "anchor.busy_intervals", "telemetry.trace.records",
+                "device.interrupts.dispatched", "breakers.*.transitions",
+                "state_cache.entries", "trace_marks"} <= names
+        assert all(isinstance(record, dict) for record in records.values())
+        assert all(isinstance(record, list)
+                   for record in log_records(chain[0]).values())
+        tail = channel(chain[-1])["transcript"]
+        assert tail["base"] == len(channel(chain[1])["transcript"]["tail"]) \
+            + channel(chain[1])["transcript"]["base"]
+        assert canonical(materialize_chain(chain)) == canonical(full)
+
+    def test_state_bytes_stay_flat_across_links(self):
+        """Per-link non-blob bytes track the work of the link, not the
+        length of the run: link 8 within 10% of link 2."""
+        swarm = build_swarm(seed="delta-growth")
+        swarm.sweep()
+        chain = [swarm.snapshot()]
+        state_bytes = []
+        for _ in range(8):
+            swarm.sweep()
+            chain.append(swarm.snapshot(parent=chain[-1]))
+            text = canonical(chain[-1])
+            blobs = sum(len(blob) for blob in chain[-1]["blobs"].values())
+            state_bytes.append(len(text) - blobs)
+        assert state_bytes[7] <= state_bytes[1] * 1.10
+        assert canonical(materialize_chain(chain)) == \
+            canonical(swarm.snapshot())
+
+    @pytest.mark.parametrize("max_events", [12, 4])
+    def test_front_evicting_trace(self, max_events):
+        """A bounded trace tails with its evictions counted; when a
+        link appends more than the bound holds, the new entries were
+        evicted too and the record falls back to the whole trace."""
+        swarm = build_swarm(size=2, seed="delta-trace-evict")
+        for member in swarm.members:
+            member.session.telemetry.trace.max_events = max_events
+        swarm.sweep()
+        chain, full = capture_chain(swarm, 3)
+        records = [record for ident, record in log_records(chain[-1]).items()
+                   if ident[2] == "telemetry.trace.records"]
+        assert len(records) == 2
+        for record in records:
+            if max_events == 12:
+                assert record["evicted"] > 0
+            else:
+                assert isinstance(record, list)
+        assert canonical(materialize_chain(chain)) == canonical(full)
+
+    def test_fifo_cache_tail_counts_evictions(self):
+        swarm = build_swarm(size=4, seed="delta-cache-evict",
+                            state_cache=StateDigestCache(max_entries=10))
+        swarm.sweep()
+        chain, full = capture_chain(swarm, 3)
+        entries = chain[-1]["state"]["state_cache"]["entries"]
+        assert isinstance(entries, dict) and entries["evicted"] > 0
+        assert canonical(materialize_chain(chain)) == canonical(full)
+
+    def test_cleared_cache_falls_back_to_a_full_record(self):
+        swarm = build_swarm(seed="delta-cache-clear")
+        swarm.sweep()
+        parent = swarm.snapshot()
+        swarm.state_cache.clear()
+        swarm.sweep()
+        delta = swarm.snapshot(parent=parent)
+        assert isinstance(delta["state"]["state_cache"]["entries"], list)
+        assert delta["state"]["state_cache"]["epoch"] == 1
+        assert isinstance(channel(delta)["transcript"], dict)
+        assert canonical(materialize_chain([parent, delta])) == \
+            canonical(swarm.snapshot())
+
+    def test_shorter_live_log_falls_back_to_a_full_record(self):
+        swarm = build_swarm(seed="delta-shrunk")
+        swarm.sweep()
+        parent = swarm.snapshot()
+        swarm.sweep()
+        del swarm.members[0].session.channel.transcript._entries[:40]
+        delta = swarm.snapshot(parent=parent)
+        assert isinstance(channel(delta, 0)["transcript"], list)
+        assert isinstance(channel(delta, 1)["transcript"], dict)
+        assert canonical(materialize_chain([parent, delta])) == \
+            canonical(swarm.snapshot())
+
+    def test_deltas_with_full_logs_still_fold(self):
+        """Delta documents written before tails existed carry whole
+        logs; they fold exactly as before."""
+        swarm = build_swarm(seed="delta-old-format")
+        swarm.sweep()
+        chain, full = capture_chain(swarm, 3)
+        old = json.loads(json.dumps(chain))
+        for position in range(1, len(old)):
+            folded = log_records(materialize_chain(chain[:position + 1]))
+            for ident, (box, field) in _log_instances(
+                    old[position]["state"], "swarm").items():
+                box[field] = folded[ident]
+        relink(old)
+        assert all(isinstance(record, list)
+                   for record in log_records(old[-1]).values())
+        assert canonical(materialize_chain(old)) == canonical(full)
+
+    def test_trace_length_reads_tails(self):
+        swarm = build_swarm(seed="delta-trace-length")
+        swarm.sweep()
+        chain, full = capture_chain(swarm, 2)
+        assert checkpoint_trace_length(chain[-1]) == \
+            checkpoint_trace_length(full)
+
+
+class TestHostileTails:
+    """Malformed tail records fail with a typed error and never mutate
+    the documents handed in."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        swarm = build_swarm(seed="delta-hostile")
+        swarm.sweep()
+        chain, _ = capture_chain(swarm, 2)
+        return chain
+
+    @staticmethod
+    def tampered(chain, position, mutate):
+        copy = json.loads(json.dumps(chain))
+        mutate(copy[position])
+        return relink(copy)
+
+    @staticmethod
+    def refused(chain, match, tmp_path):
+        """``materialize_chain`` and ``load_chain`` both refuse."""
+        before = [canonical(document) for document in chain]
+        with pytest.raises(SnapshotError, match=match):
+            materialize_chain(chain)
+        assert [canonical(document) for document in chain] == before
+        saved = json.loads(json.dumps(chain))
+        for position in range(1, len(saved)):
+            saved[position]["meta"] = {"parent_path": f"{position - 1}.json"}
+            saved[position]["parent_id"] = document_id(saved[position - 1])
+        for position, document in enumerate(saved):
+            save_document(document, tmp_path / f"{position}.json")
+        with pytest.raises(SnapshotError, match=match):
+            load_chain(tmp_path / f"{len(saved) - 1}.json")
+
+    @staticmethod
+    def parent_refused(parent, match):
+        swarm = build_swarm(seed="delta-hostile")
+        swarm.sweep()
+        before = canonical(parent)
+        with pytest.raises(SnapshotError, match=match):
+            swarm.snapshot(parent=parent)
+        assert canonical(parent) == before
+
+    def test_base_differing_from_the_parent_count(self, chain, tmp_path):
+        def mutate(document):
+            channel(document)["transcript"]["base"] += 1
+        self.refused(self.tampered(chain, 2, mutate),
+                     "does not match the parent's cumulative count",
+                     tmp_path)
+
+    def test_tail_in_a_root_document(self, chain, tmp_path):
+        def mutate(document):
+            records = channel(document)["transcript"]
+            channel(document)["transcript"] = {"base": 0, "tail": records}
+        bad = self.tampered(chain, 0, mutate)
+        self.refused(bad, "tail record in the chain root", tmp_path)
+        self.parent_refused(bad[0], "tail record in a full parent")
+
+    def test_negative_base(self, chain, tmp_path):
+        def mutate(document):
+            channel(document)["transcript"]["base"] = -1
+        bad = self.tampered(chain, 2, mutate)
+        self.refused(bad, "non-negative", tmp_path)
+        self.parent_refused(bad[2], "non-negative")
+
+    def test_too_large_base(self, chain, tmp_path):
+        def mutate(document):
+            channel(document)["transcript"]["base"] = 10 ** 9
+        bad = self.tampered(chain, 2, mutate)
+        self.refused(bad, "does not match the parent's cumulative count",
+                     tmp_path)
+        # Against it as a parent, capture cannot prove the live log
+        # extends it, so it stores the full log instead of failing.
+        swarm = build_swarm(seed="delta-hostile")
+        swarm.sweep()
+        delta = swarm.snapshot(parent=bad[2])
+        assert isinstance(channel(delta)["transcript"], list)
+
+    def test_tail_that_is_not_a_list(self, chain, tmp_path):
+        def mutate(document):
+            channel(document)["transcript"]["tail"] = "not-a-list"
+        bad = self.tampered(chain, 2, mutate)
+        self.refused(bad, "must be a list", tmp_path)
+        self.parent_refused(bad[2], "must be a list")
+
+    def test_more_evictions_than_the_parent_held(self, chain, tmp_path):
+        held = len(chain[0]["state"]["state_cache"]["entries"])
+
+        def mutate(document):
+            cache = document["state"]["state_cache"]
+            cache["entries"]["evicted"] += held + 1
+            # Enough new entries that the counter stays below the
+            # cumulative count: only the eviction claim is wrong.
+            cache["entries"]["tail"] += \
+                chain[0]["state"]["state_cache"]["entries"] * 2
+            cache["evictions"] += held + 1
+        self.refused(self.tampered(chain, 1, mutate),
+                     "evicts .* entries but the parent held", tmp_path)
+
+    def test_counter_beyond_the_cumulative_count(self, chain, tmp_path):
+        def mutate(document):
+            document["state"]["state_cache"]["evictions"] = 10 ** 6
+        bad = self.tampered(chain, 2, mutate)
+        self.refused(bad, "exceeds the log's cumulative count", tmp_path)
+        self.parent_refused(bad[2], "exceeds the log's cumulative count")
 
 
 class TestInvalidateTimesDeltaRestore:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SnapshotError
+from repro.mcu.statecache import StateDigestCache
 from repro.perf.fleet import FleetEngine, FleetSpec
+from repro.services.swarm import Swarm
 from repro.snapshot import build_swarm_from_spec, swarm_spec
 
 
@@ -71,6 +73,54 @@ class TestSwarmRoundTrip:
         a.sweep()
         with pytest.raises(SnapshotError, match="member"):
             b.restore(a.snapshot())
+
+
+class TestStateCacheCounters:
+    """A bounded cache's counters survive a checkpoint: a restored and
+    continued fleet reports what an uninterrupted one does."""
+
+    @staticmethod
+    def build():
+        return Swarm(4, state_cache=StateDigestCache(max_entries=2),
+                     seed="cache-counters")
+
+    @staticmethod
+    def rewrite(swarm, round_index):
+        # Member-unique content: every member misses and stores.
+        for member in swarm.members:
+            member.session.device.ram.load(
+                256, bytes([round_index, member.index]) * 8)
+
+    def test_evictions_survive_restore(self):
+        live, restored = self.build(), self.build()
+        for round_index in range(3):
+            self.rewrite(live, round_index)
+            live.sweep()
+        restored.restore(live.snapshot())
+        assert live.state_cache.evictions > 0
+        assert restored.state_cache.stats() == live.state_cache.stats()
+        for swarm in (live, restored):
+            self.rewrite(swarm, 9)
+            swarm.sweep()
+        assert restored.state_cache.stats() == live.state_cache.stats()
+
+    def test_documents_without_the_counter_restore_zero(self):
+        live, restored = self.build(), self.build()
+        self.rewrite(live, 0)
+        live.sweep()
+        document = live.snapshot()
+        del document["state"]["state_cache"]["evictions"]
+        restored.restore(document)
+        assert restored.state_cache.evictions == 0
+
+    def test_reset_epoch_round_trips(self):
+        live, restored = self.build(), self.build()
+        live.sweep()
+        assert "epoch" not in live.snapshot()["state"]["state_cache"]
+        live.state_cache.clear()
+        live.sweep()
+        restored.restore(live.snapshot())
+        assert restored.state_cache.epoch == live.state_cache.epoch == 1
 
 
 class TestReplay:
