@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Smoke-test delta checkpoints, chain compaction and replay bisection.
 
-Six independent gates, any of which fails CI:
+Seven independent gates, any of which fails CI:
 
 1. **Chain identity** -- across every protection profile and every
    clock kind, capture a root snapshot plus a chain of delta
@@ -28,6 +28,11 @@ Six independent gates, any of which fails CI:
    whole append-only log where a tail applies, and over eight links of
    identical work the non-blob bytes of a delta stay flat (link 8
    within 10% of link 2) instead of growing with the run.
+7. **Shuffled OTA fleet** -- every member receives the same flash
+   update in its own write order (equal contents, divergent write-chain
+   fingerprints, so folding shares one image among many members); the
+   chain must fold byte-identical to a direct full snapshot and restore
+   into a continued run equal to the uninterrupted one.
 
 Exit status: 0 on success, 1 with diagnostics on any failure.
 
@@ -58,6 +63,20 @@ def rewrite(swarm, round_index: int) -> None:
                         for offset in range(256))
         ram.load(64, payload)
         ram.load(ram.size // 2, payload)
+
+
+def shuffled_ota(swarm, round_index: int) -> None:
+    """One fleet-shared flash update: the same bytes at the same places
+    for every member, each writing them in its own rotated order."""
+    size = swarm.members[0].session.device.flash.size
+    offsets = [0, 4096 + 100, 3 * 4096 + 7, size // 2 + 33, size - 256]
+    writes = [(offset, bytes((round_index * 11 + offset + i) % 256
+                             for i in range(256)))
+              for offset in offsets]
+    for member in swarm.members:
+        shift = member.index % len(writes)
+        for offset, data in writes[shift:] + writes[:shift]:
+            member.session.device.flash.load(offset, data)
 
 
 def full_logs(document) -> list:
@@ -301,6 +320,45 @@ def main(argv=None) -> int:
         failures.append("tails: folded 8-link chain differs from the "
                         "direct full snapshot")
 
+    # Gate 7: a shuffled-order OTA fleet -- equal contents under
+    # divergent fingerprints -- folds exactly and continues exactly.
+    # One member per rotation of the five writes: every order differs.
+    def build_ota():
+        return Swarm(5, observe=True, incremental=True,
+                     seed="delta-smoke-ota")
+
+    ota_live = build_ota()
+    ota_live.sweep()
+    ota_chain = [ota_live.snapshot()]
+    for round_index in range(args.links):
+        shuffled_ota(ota_live, round_index)
+        ota_live.sweep()
+        ota_chain.append(ota_live.snapshot(parent=ota_chain[-1]))
+    ota_full = ota_live.snapshot()
+    flash = [record["fingerprint"]
+             for member in ota_full["state"]["members"]
+             for record in member["session"]["device"]["regions"]
+             if record["name"] == "flash"]
+    if (len(set(flash)) != len(flash)
+            or len({ota_full["blobs"][fp] for fp in flash}) != 1):
+        failures.append("ota: members do not share flash contents under "
+                        "divergent fingerprints; the gate tests nothing")
+    ota_folded = materialize_chain(ota_chain)
+    if canonical(ota_folded) != canonical(ota_full):
+        failures.append("ota: folded chain differs from the direct full "
+                        "snapshot")
+    ota_resumed = build_ota()
+    ota_resumed.restore(ota_folded)
+    if ota_live.sweep() != ota_resumed.sweep():
+        failures.append("ota: sweep reports diverge after chain restore")
+    if (ota_live.merged_trace_records()
+            != ota_resumed.merged_trace_records()):
+        failures.append("ota: merged traces diverge after chain restore")
+    if (ota_live.freshness_fingerprint()
+            != ota_resumed.freshness_fingerprint()):
+        failures.append("ota: freshness fingerprints diverge after chain "
+                        "restore")
+
     if failures:
         for failure in failures:
             print(f"delta-smoke: FAIL: {failure}", file=sys.stderr)
@@ -311,7 +369,8 @@ def main(argv=None) -> int:
           f"{expected['seq']} replaying {found['events_replayed']} vs "
           f"linear {baseline['events_replayed']} event(s), {len(deltas)} "
           f"deltas all tails, state {link_bytes[1]} -> {link_bytes[7]} B "
-          f"over links 2..8)",
+          f"over links 2..8, shuffled OTA fleet of {len(flash)} folds "
+          f"and continues exactly)",
           file=sys.stderr)
     return 0
 

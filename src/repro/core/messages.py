@@ -28,25 +28,52 @@ _RSP_MAGIC = b"ATRP"
 _ABSENT = 0xFFFFFFFFFFFFFFFF
 
 
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U64_PAIR = struct.Struct(">QQ")
+
+
 class _Cursor:
     """Bounds-checked sequential reader for wire parsing."""
+
+    __slots__ = ("_data", "_offset", "_kind")
 
     def __init__(self, data: bytes, *, kind: str):
         if not isinstance(data, (bytes, bytearray)):
             raise ProtocolError(f"{kind} must be bytes")
-        self._data = bytes(data)
+        # Fields are slices of the buffer; a bytearray is copied once so
+        # they cannot alias the caller's mutable bytes.
+        self._data = data if type(data) is bytes else bytes(data)
         self._offset = 0
         self._kind = kind
 
     def take(self, length: int) -> bytes:
-        if self._offset + length > len(self._data):
+        start = self._offset
+        end = start + length
+        if end > len(self._data):
             raise ProtocolError(f"{self._kind} truncated")
-        chunk = self._data[self._offset:self._offset + length]
-        self._offset += length
-        return chunk
+        self._offset = end
+        return self._data[start:end]
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, layout: struct.Struct) -> tuple:
+        start = self._offset
+        end = start + layout.size
+        if end > len(self._data):
+            raise ProtocolError(f"{self._kind} truncated")
+        self._offset = end
+        return layout.unpack_from(self._data, start)
+
+    def take_sized(self, layout: struct.Struct) -> bytes:
+        """A length-prefixed field: a ``layout`` length, then the bytes."""
+        data, start = self._data, self._offset + layout.size
+        if start > len(data):
+            raise ProtocolError(f"{self._kind} truncated")
+        (length,) = layout.unpack_from(data, self._offset)
+        end = start + length
+        if end > len(data):
+            raise ProtocolError(f"{self._kind} truncated")
+        self._offset = end
+        return data[start:end]
 
     def expect(self, magic: bytes) -> None:
         if self.take(len(magic)) != magic:
@@ -128,15 +155,11 @@ class AttestationRequest:
         """
         cursor = _Cursor(data, kind="attreq")
         cursor.expect(_REQ_MAGIC)
-        counter, timestamp = cursor.unpack(">QQ")
-        (nonce_len,) = cursor.unpack(">B")
-        nonce = cursor.take(nonce_len)
-        (challenge_len,) = cursor.unpack(">H")
-        challenge = cursor.take(challenge_len)
-        (scheme_len,) = cursor.unpack(">B")
-        scheme_bytes = cursor.take(scheme_len)
-        (tag_len,) = cursor.unpack(">H")
-        tag = cursor.take(tag_len)
+        counter, timestamp = cursor.unpack(_U64_PAIR)
+        nonce = cursor.take_sized(_U8)
+        challenge = cursor.take_sized(_U16)
+        scheme_bytes = cursor.take_sized(_U8)
+        tag = cursor.take_sized(_U16)
         cursor.expect_end()
         try:
             scheme = scheme_bytes.decode("ascii")
@@ -145,7 +168,7 @@ class AttestationRequest:
         return cls(challenge=challenge,
                    counter=None if counter == _ABSENT else counter,
                    timestamp_ticks=None if timestamp == _ABSENT else timestamp,
-                   nonce=nonce if nonce_len else None,
+                   nonce=nonce if nonce else None,
                    auth_scheme=scheme, auth_tag=tag)
 
     def with_tag(self, tag: bytes) -> "AttestationRequest":
@@ -208,13 +231,10 @@ class AttestationResponse:
         """Parse a wire-encoded response (inverse of :meth:`to_bytes`)."""
         cursor = _Cursor(data, kind="attresp")
         cursor.expect(_RSP_MAGIC)
-        (challenge_len,) = cursor.unpack(">H")
-        challenge = cursor.take(challenge_len)
-        (measurement_len,) = cursor.unpack(">H")
-        measurement = cursor.take(measurement_len)
-        counter, timestamp = cursor.unpack(">QQ")
-        (tag_len,) = cursor.unpack(">H")
-        tag = cursor.take(tag_len)
+        challenge = cursor.take_sized(_U16)
+        measurement = cursor.take_sized(_U16)
+        counter, timestamp = cursor.unpack(_U64_PAIR)
+        tag = cursor.take_sized(_U16)
         cursor.expect_end()
         return cls(challenge=challenge, measurement=measurement,
                    request_counter=None if counter == _ABSENT else counter,

@@ -105,12 +105,30 @@ class BlobStore:
         telemetry.set_gauge("snapshot.bytes", self.total_bytes)
 
     def encode(self) -> dict:
-        """JSON form: base64 images keyed by fingerprint hex."""
-        return {fp: b64(data) for fp, data in sorted(self._blobs.items())}
+        """JSON form: base64 images keyed by fingerprint hex.
+
+        Members that share one image object (a folded chain gives every
+        member with the same region history the same ``bytes``) share
+        one encoded string: each distinct object is encoded once.
+        """
+        encoded = {}
+        texts = {}      # id(image) -> its base64 text
+        for fingerprint_hex, data in sorted(self._blobs.items()):
+            text = texts.get(id(data))
+            if text is None:
+                text = texts[id(data)] = b64(data)
+            encoded[fingerprint_hex] = text
+        return encoded
 
     @classmethod
     def decode(cls, encoded: dict) -> "BlobStore":
+        """Inverse of :meth:`encode`; each distinct string object is
+        decoded once, so images encoded once stay shared."""
         store = cls()
+        images = {}     # id(text) -> its decoded bytes
         for fingerprint_hex, text in encoded.items():
-            store.put(fingerprint_hex, unb64(text))
+            data = images.get(id(text))
+            if data is None:
+                data = images[id(text)] = unb64(text)
+            store.put(fingerprint_hex, data)
         return store

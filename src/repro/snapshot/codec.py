@@ -22,21 +22,29 @@ plus overwrite, never deserialization of arbitrary types.
 
 from __future__ import annotations
 
-import base64
+import binascii
 
 from ..core.messages import AttestationRequest, AttestationResponse
-from ..errors import SnapshotError
+from ..errors import ProtocolError, SnapshotError
 
 __all__ = ["b64", "unb64", "rng_state", "restore_rng", "encode_message",
            "decode_message", "encode_adversary", "restore_adversary"]
 
 
 def b64(data: bytes) -> str:
-    return base64.b64encode(bytes(data)).decode("ascii")
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+    """Decode a base64 field of a snapshot document; a non-string or
+    malformed payload raises :class:`SnapshotError`."""
+    if not isinstance(text, str):
+        raise SnapshotError(f"base64 payload must be a string, got "
+                            f"{type(text).__name__}")
+    try:
+        return binascii.a2b_base64(text)
+    except ValueError as exc:   # binascii.Error, or non-ASCII text
+        raise SnapshotError(f"malformed base64 payload: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +81,17 @@ def encode_message(message) -> dict:
 
 
 def decode_message(record: dict):
-    data = unb64(record["data"])
     if record["kind"] == "req":
-        return AttestationRequest.from_bytes(data)
-    if record["kind"] == "rsp":
-        return AttestationResponse.from_bytes(data)
-    raise SnapshotError(f"unknown message kind {record['kind']!r}")
+        message_type = AttestationRequest
+    elif record["kind"] == "rsp":
+        message_type = AttestationResponse
+    else:
+        raise SnapshotError(f"unknown message kind {record['kind']!r}")
+    try:
+        return message_type.from_bytes(unb64(record["data"]))
+    except ProtocolError as exc:
+        raise SnapshotError(f"malformed {record['kind']} message: "
+                            f"{exc}") from None
 
 
 # ---------------------------------------------------------------------------

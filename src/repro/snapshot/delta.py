@@ -371,20 +371,26 @@ def _tail_parts(record, fifo: bool, where: str) -> tuple[int, list, int]:
 def _record_counts(box: dict, name: str, where: str) -> tuple[int, int, int]:
     """``(cumulative, evicted, epoch)`` of one recorded log, full list
     or tail, read from its own document alone."""
+    return _read_record(box, name, where)[:3]
+
+
+def _read_record(box: dict, name: str, where: str) -> tuple:
+    """``(cumulative, evicted, epoch, tail)`` of one recorded log;
+    ``tail`` is :func:`_tail_parts` of a tail record, ``None`` for a
+    full list."""
     _, counter, epoch = LOG_FIELDS[name]
-    field = name.rsplit(".", 1)[-1]
     evicted = _count(box, counter, where)
-    record = box[field]
+    epoch = _count(box, epoch, where)
+    record = box[name.rsplit(".", 1)[-1]]
     if isinstance(record, list):
-        cumulative = evicted + len(record)
-    else:
-        base, tail, _ = _tail_parts(record, counter is not None, where)
-        cumulative = base + len(tail)
-        if evicted > cumulative:
-            raise SnapshotError(
-                f"{where}: {counter} {evicted} exceeds the log's "
-                f"cumulative count {cumulative}")
-    return cumulative, evicted, _count(box, epoch, where)
+        return evicted + len(record), evicted, epoch, None
+    tail = _tail_parts(record, counter is not None, where)
+    cumulative = tail[0] + len(tail[1])
+    if evicted > cumulative:
+        raise SnapshotError(
+            f"{where}: {counter} {evicted} exceeds the log's "
+            f"cumulative count {cumulative}")
+    return cumulative, evicted, epoch, tail
 
 
 def _scope_logs(payload: dict, scope: str):
@@ -468,29 +474,29 @@ def _reject_tails(state: dict, kind: str, what: str) -> None:
 def _check_log_links(documents: list[dict]) -> list[dict]:
     """Every tail must extend its parent's log exactly: its base equals
     the parent's cumulative count, it evicts no more than the parent
-    held, and the document's eviction counter agrees.  Returns each
-    document's :func:`_log_instances`."""
+    held, and the document's eviction counter agrees.  Each record is
+    read once; its counts serve as the next document's parent counts.
+    Returns each document's :func:`_log_instances`."""
     kind = documents[0]["kind"]
     _reject_tails(documents[0]["state"], kind, "the chain root")
-    chain = [_log_instances(documents[0]["state"], kind)]
-    for position, document in enumerate(documents[1:], start=1):
-        previous = chain[-1]
+    chain = []
+    parent_counts = {}
+    for position, document in enumerate(documents):
         current = _log_instances(document["state"], kind)
-        for ident, (box, field) in current.items():
-            name = ident[2]
+        counts = {}
+        for ident, (box, _) in current.items():
             where = f"{_where(ident)} at chain document {position}"
-            cumulative, counter, _ = _record_counts(box, name, where)
-            record = box[field]
-            if isinstance(record, list):
+            cumulative, counter, _, tail = _read_record(box, ident[2],
+                                                        where)
+            counts[ident] = cumulative, counter
+            if tail is None:
                 continue
-            base, _, evicted = _tail_parts(
-                record, LOG_FIELDS[name][1] is not None, where)
-            parent = previous.get(ident)
+            base, _, evicted = tail
+            parent = parent_counts.get(ident)
             if parent is None:
                 raise SnapshotError(f"{where}: tail has no parent log to "
                                     f"extend")
-            parent_cumulative, parent_counter, _ = _record_counts(
-                parent[0], name, where)
+            parent_cumulative, parent_counter = parent
             if base != parent_cumulative:
                 raise SnapshotError(
                     f"{where}: tail base {base} does not match the "
@@ -504,6 +510,7 @@ def _check_log_links(documents: list[dict]) -> list[dict]:
                     f"{where}: eviction counter {counter} disagrees with "
                     f"the parent's {parent_counter} plus {evicted} evicted")
         chain.append(current)
+        parent_counts = counts
     return chain
 
 
@@ -642,7 +649,8 @@ def materialize_chain(documents: list[dict]) -> dict:
     each log tail is appended to its log as folded so far, and each
     region image is the root image with every chunk overlay applied in
     chain order, verified against the tip's chunk-digest index when one
-    was recorded.
+    was recorded.  Each distinct region history (see :func:`_fold_key`)
+    is folded and verified once; members sharing it share the image.
     """
     chain_logs = _verify(documents)
     root = documents[0]
@@ -666,6 +674,10 @@ def materialize_chain(documents: list[dict]) -> dict:
                 f"chain document {position} has {len(sessions)} members; "
                 f"root has {member_count}")
     out = BlobStore()
+    # Members with one region history (an OTA update every member got,
+    # whatever the write order) fold once and share the image object,
+    # which BlobStore.encode then base64-encodes once.
+    folded = {}
     for m in range(member_count):
         record_maps = [{record["name"]: record
                         for record in sessions[m]["device"]["regions"]}
@@ -680,7 +692,10 @@ def materialize_chain(documents: list[dict]) -> dict:
                         f"region {name!r} missing from chain document "
                         f"{position}")
                 records.append(link)
-            image = _fold_region(name, records, doc_blobs)
+            key = _fold_key(name, records)
+            image = folded.get(key)
+            if image is None:
+                image = folded[key] = _fold_region(name, records, doc_blobs)
             record.pop("delta", None)
             # Collision-checked: members sharing a fingerprint must
             # fold to identical images or the chain is corrupt.
@@ -693,8 +708,110 @@ def materialize_chain(documents: list[dict]) -> dict:
     return make_document(kind, state, out, meta)
 
 
+_DELTA_MODES = ("unchanged", "chunks", "blob")
+
+
+def _fold_key(name: str, records: list[dict]) -> tuple:
+    """Everything :func:`_fold_region` reads from one region's records
+    (root first), type-checked.  Equal keys fold to equal images: every
+    blob a key names is looked up in the same chain document."""
+    base = records[0]
+    size, exclude = base["size"], base["exclude"]
+    if (type(size) is not int or type(exclude) is not int
+            or not 0 <= exclude <= size):
+        raise SnapshotError(f"region {name!r}: malformed geometry in the "
+                            f"chain root")
+    if not isinstance(base["fingerprint"], str):
+        raise SnapshotError(f"region {name!r}: root fingerprint must be "
+                            f"a string")
+    key = [name, size, exclude, base["fingerprint"]]
+    for position, record in enumerate(records[1:], start=1):
+        if record["size"] != size or record["exclude"] != exclude:
+            raise SnapshotError(
+                f"region {name!r} geometry changed at chain document "
+                f"{position}; delta chains require stable geometry")
+        delta = record.get("delta")
+        if delta is None:
+            raise SnapshotError(
+                f"region {name!r} has no delta record in chain document "
+                f"{position}")
+        chunk_size, index = _index_fields(name, delta, position)
+        mode = delta.get("mode")
+        if mode not in _DELTA_MODES:
+            raise SnapshotError(
+                f"region {name!r}: unknown delta mode {mode!r} at chain "
+                f"document {position}")
+        dirty = fingerprint = None
+        if mode == "chunks":
+            dirty = delta.get("dirty")
+            if index is None:
+                raise SnapshotError(
+                    f"region {name!r}: chunks delta at chain document "
+                    f"{position} carries no chunk-digest index")
+            if (not isinstance(dirty, list)
+                    or any(type(i) is not int for i in dirty)):
+                raise SnapshotError(
+                    f"region {name!r}: dirty at chain document {position} "
+                    f"must be a list of chunk numbers, got {dirty!r}")
+            dirty = tuple(dirty)
+        elif mode == "blob":
+            fingerprint = record["fingerprint"]
+            if not isinstance(fingerprint, str):
+                raise SnapshotError(
+                    f"region {name!r}: fingerprint at chain document "
+                    f"{position} must be a string")
+        key.append((mode, chunk_size, index, dirty, fingerprint))
+    if len(records) == 1 and base.get("delta") is not None:
+        # A root-only chain: the root's record is the tip's.
+        key.append(_index_fields(name, base["delta"], 0))
+    return tuple(key)
+
+
+def _index_fields(name: str, delta, position: int) -> tuple:
+    """``(chunk_size, index)`` of a delta record, type-checked; both
+    ``None`` when it records no chunk-digest index."""
+    if not isinstance(delta, dict):
+        raise SnapshotError(f"region {name!r}: delta record at chain "
+                            f"document {position} must be an object")
+    if "index" not in delta and "chunk_size" not in delta:
+        return None, None
+    chunk_size, index = delta.get("chunk_size"), delta.get("index")
+    if type(chunk_size) is not int or chunk_size <= 0:
+        raise SnapshotError(
+            f"region {name!r}: chunk_size at chain document {position} "
+            f"must be a positive integer, got {chunk_size!r}")
+    if not isinstance(index, str):
+        raise SnapshotError(
+            f"region {name!r}: index at chain document {position} must "
+            f"be a hex string, got {index!r}")
+    return chunk_size, index
+
+
+def _index_digests(name: str, delta: dict, blobs: BlobStore,
+                   window_size: int, position: int) -> list[bytes]:
+    """The 20-byte leaf digests of a chunk-digest index, which must
+    cover the window exactly under the record's chunk size."""
+    chunk_size = delta["chunk_size"]
+    payload = blobs.get(delta["index"])
+    if len(payload) % _DIGEST_LEN:
+        raise SnapshotError(
+            f"region {name!r}: malformed chunk-digest index at chain "
+            f"document {position}")
+    digests = [payload[i:i + _DIGEST_LEN]
+               for i in range(0, len(payload), _DIGEST_LEN)]
+    expected = (window_size + chunk_size - 1) // chunk_size
+    if len(digests) != expected:
+        raise SnapshotError(
+            f"region {name!r}: chunk-digest index at chain document "
+            f"{position} has {len(digests)} entries, window needs "
+            f"{expected}")
+    return digests
+
+
 def _fold_region(name: str, records: list[dict],
                  doc_blobs: list[BlobStore]) -> bytes:
+    """Root image plus every link's overlay, verified against the tip's
+    digest index; ``records`` were checked by :func:`_fold_key`."""
     base = records[0]
     window_size = base["size"] - base["exclude"]
     image = bytearray(doc_blobs[0].get(base["fingerprint"]))
@@ -704,16 +821,7 @@ def _fold_region(name: str, records: list[dict],
             f"is {window_size}")
     for position, (record, blobs) in enumerate(
             zip(records[1:], doc_blobs[1:]), start=1):
-        if (record["size"] != base["size"]
-                or record["exclude"] != base["exclude"]):
-            raise SnapshotError(
-                f"region {name!r} geometry changed at chain document "
-                f"{position}; delta chains require stable geometry")
-        delta = record.get("delta")
-        if delta is None:
-            raise SnapshotError(
-                f"region {name!r} has no delta record in chain document "
-                f"{position}")
+        delta = record["delta"]
         mode = delta["mode"]
         if mode == "unchanged":
             continue
@@ -724,26 +832,10 @@ def _fold_region(name: str, records: list[dict],
                     f"region {name!r}: blob at chain document {position} "
                     f"is {len(image)} bytes, window is {window_size}")
             continue
-        if mode != "chunks":
-            raise SnapshotError(
-                f"region {name!r}: unknown delta mode {mode!r} at chain "
-                f"document {position}")
         chunk_size = delta["chunk_size"]
-        payload = blobs.get(delta["index"])
-        if len(payload) % _DIGEST_LEN:
-            raise SnapshotError(
-                f"region {name!r}: malformed chunk-digest index at chain "
-                f"document {position}")
-        digests = [payload[i:i + _DIGEST_LEN]
-                   for i in range(0, len(payload), _DIGEST_LEN)]
-        expected = (window_size + chunk_size - 1) // chunk_size
-        if len(digests) != expected:
-            raise SnapshotError(
-                f"region {name!r}: chunk-digest index at chain document "
-                f"{position} has {len(digests)} entries, window needs "
-                f"{expected}")
+        digests = _index_digests(name, delta, blobs, window_size, position)
         for i in delta["dirty"]:
-            if not 0 <= i < expected:
+            if not 0 <= i < len(digests):
                 raise SnapshotError(
                     f"region {name!r}: dirty chunk {i} out of range at "
                     f"chain document {position}")
@@ -757,18 +849,17 @@ def _fold_region(name: str, records: list[dict],
     tip_delta = records[-1].get("delta")
     if tip_delta is not None and "index" in tip_delta:
         # End-to-end check: the folded image must hash chunk-for-chunk
-        # to the tip's recorded leaf digests.
+        # to the tip's recorded leaf digests, every chunk of them.
         chunk_size = tip_delta["chunk_size"]
-        payload = doc_blobs[-1].get(tip_delta["index"])
-        digests = [payload[i:i + _DIGEST_LEN]
-                   for i in range(0, len(payload), _DIGEST_LEN)]
-        for i, digest in enumerate(digests):
-            lo = i * chunk_size
-            chunk = bytes(image[lo:lo + chunk_size])
-            if hashlib.sha1(chunk).digest() != digest:
-                raise SnapshotError(
-                    f"region {name!r}: folded chunk {i} does not match "
-                    f"the tip checkpoint's digest index")
+        digests = _index_digests(name, tip_delta, doc_blobs[-1],
+                                 window_size, len(records) - 1)
+        with memoryview(image) as view:
+            for i, digest in enumerate(digests):
+                lo = i * chunk_size
+                if hashlib.sha1(view[lo:lo + chunk_size]).digest() != digest:
+                    raise SnapshotError(
+                        f"region {name!r}: folded chunk {i} does not "
+                        f"match the tip checkpoint's digest index")
     return bytes(image)
 
 

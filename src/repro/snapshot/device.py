@@ -107,10 +107,14 @@ def restore_device(device, snap: dict, blobs: BlobStore) -> None:
         if len(image) != region.size - exclude:
             raise SnapshotError(
                 f"region {record['name']!r} image length mismatch")
+        prefix = unb64(record["prefix"])
+        if len(prefix) != exclude:
+            raise SnapshotError(
+                f"region {record['name']!r} prefix length mismatch")
         # Direct overwrite, *not* store(): the write chain is not
         # recomputable from content, so the captured fingerprint is
         # reinstated verbatim alongside the bytes it witnesses.
-        region._data[:exclude] = unb64(record["prefix"])
+        region._data[:exclude] = prefix
         region._data[exclude:] = image
         region._fingerprint = bytes.fromhex(record["fingerprint"])
         # The overwrite bypassed note_write, so any attached digest tree

@@ -18,7 +18,6 @@ than guessing.  Every path the swarm/fleet layers snapshot from
 
 from __future__ import annotations
 
-from ..core.messages import AttestationRequest
 from ..core.verifier import VerificationResult
 from ..errors import SnapshotError
 from ..net.trace import Transcript, TranscriptEntry
@@ -26,7 +25,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import EventTrace, TraceEvent
 from .blobs import BlobStore
 from .codec import (b64, decode_message, encode_adversary, encode_message,
-                    restore_adversary, restore_rng, rng_state, unb64)
+                    restore_adversary, restore_rng, rng_state)
 from .delta import capture_log
 from .device import restore_device, snapshot_device
 
@@ -166,7 +165,7 @@ def _snapshot_verifier_node(node, parent=None) -> dict:
 
 
 def _restore_verifier_node(node, state: dict) -> None:
-    node._outstanding = [AttestationRequest.from_bytes(unb64(text))
+    node._outstanding = [decode_message({"kind": "req", "data": text})
                          for text in state["outstanding"]]
     node._request_times = {bytes.fromhex(challenge): when
                            for challenge, when in state["request_times"]}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.messages import AttestationRequest
 from repro.errors import SnapshotError
 from repro.incremental import DEFAULT_CHUNK_SIZE, DigestTree
 from repro.mcu.device import DeviceConfig
@@ -31,6 +32,8 @@ from repro.snapshot import (BlobStore, bisect_replay,
                             document_id, linear_scan, load_chain,
                             load_document, materialize_chain,
                             save_document, verify_chain)
+from repro.snapshot import delta as delta_module
+from repro.snapshot.codec import b64, unb64
 from repro.snapshot.delta import _log_instances, _session_states
 from repro.snapshot.swarm import _decode_cache_key, _encode_cache_key
 
@@ -114,6 +117,31 @@ class TestBlobStore:
         assert gauges["snapshot.bytes"] == 40
         # publishing is read-only for the store itself
         assert store.stats() == {"blobs": 2, "bytes": 40}
+
+    def test_shared_images_encode_and_decode_like_unshared(self):
+        """Encoding once per image object and decoding once per string
+        object changes sharing only, never the encoded document."""
+        image, other = bytes(range(256)) * 8, b"\x01" * 100
+        shared, unshared = BlobStore(), BlobStore()
+        for key, data in (("dd" * 20, image), ("aa" * 20, image),
+                          ("cc" * 20, other), ("bb" * 20, image)):
+            shared.put(key, data)
+            unshared.put(key, bytes(bytearray(data)))
+        encoded = shared.encode()
+        assert encoded == unshared.encode()
+        assert list(encoded) == sorted(encoded)
+        assert encoded["aa" * 20] is encoded["bb" * 20]
+        copies = {key: text.encode().decode()
+                  for key, text in encoded.items()}
+        assert copies["aa" * 20] is not copies["bb" * 20]
+        from_shared = BlobStore.decode(encoded)
+        from_copies = BlobStore.decode(copies)
+        for key in encoded:
+            assert from_shared.get(key) == from_copies.get(key) \
+                == shared.get(key)
+        assert from_shared.get("aa" * 20) is from_shared.get("dd" * 20)
+        assert from_shared.stats() == from_copies.stats() == shared.stats()
+        assert from_shared.encode() == encoded
 
     def test_subset_skips_absent_keys(self):
         store = BlobStore()
@@ -486,6 +514,262 @@ class TestHostileTails:
         bad = self.tampered(chain, 2, mutate)
         self.refused(bad, "exceeds the log's cumulative count", tmp_path)
         self.parent_refused(bad[2], "exceeds the log's cumulative count")
+
+
+def regions(document, member=0):
+    """A member's region records by name."""
+    session = _session_states(document["state"], document["kind"])[member]
+    return {record["name"]: record for record in session["device"]["regions"]}
+
+
+def ota(swarm, round_index):
+    """One fleet-shared flash update: every member gets the same bytes
+    at the same places, each in its own rotated write order, so region
+    contents stay equal while write-chain fingerprints diverge."""
+    size = swarm.members[0].session.device.flash.size
+    writes = [(offset, bytes((round_index * 7 + offset + i) % 256
+                             for i in range(200)))
+              for offset in (0, 4096 + 100, 3 * 4096 + 7, size - 200)]
+    for member in swarm.members:
+        shift = member.index % len(writes)
+        for offset, data in writes[shift:] + writes[:shift]:
+            member.session.device.flash.load(offset, data)
+
+
+def ota_chain(swarm, links):
+    chain = [swarm.snapshot()]
+    for round_index in range(links):
+        ota(swarm, round_index)
+        swarm.sweep()
+        chain.append(swarm.snapshot(parent=chain[-1]))
+    return chain, swarm.snapshot()
+
+
+def histories(chain):
+    """Distinct region histories of a chain: root fingerprint plus each
+    link's delta record (and fingerprint, for whole-blob links)."""
+    found = set()
+    for member in range(len(_session_states(chain[0]["state"], "swarm"))):
+        for name, root in regions(chain[0], member).items():
+            links = tuple(
+                (canonical(record["delta"]),
+                 record["fingerprint"] if record["delta"]["mode"] == "blob"
+                 else None)
+                for record in (regions(document, member)[name]
+                               for document in chain[1:]))
+            found.add((name, root["fingerprint"], links))
+    return found
+
+
+class TestFoldMemo:
+    """Members with one region history fold once and share the image;
+    every check still sees every distinct image."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        fold = delta_module._fold_region
+
+        def spying(name, records, doc_blobs):
+            calls.append(name)
+            return fold(name, records, doc_blobs)
+        monkeypatch.setattr(delta_module, "_fold_region", spying)
+        return calls
+
+    def test_shuffled_ota_folds_each_history_once(self, monkeypatch):
+        swarm = build_swarm(size=4, seed="delta-ota")
+        swarm.sweep()
+        chain, full = ota_chain(swarm, 2)
+        flash = [regions(full, member)["flash"]["fingerprint"]
+                 for member in range(4)]
+        assert len(set(flash)) == 4                       # histories diverge
+        assert len({full["blobs"][fp] for fp in flash}) == 1   # bytes do not
+        calls = self.spy(monkeypatch)
+        folded = materialize_chain(chain)
+        assert canonical(folded) == canonical(full)
+        assert calls.count("flash") == 1
+        assert len(calls) == len(histories(chain)) < 4 * len(regions(full))
+
+    def test_one_differing_chunk_folds_apart(self, monkeypatch):
+        swarm = build_swarm(size=2, seed="delta-ota-apart")
+        swarm.sweep()
+        chain = [swarm.snapshot()]
+        ota(swarm, 0)
+        swarm.members[1].session.device.flash.load(2 * 4096, b"\x5a" * 64)
+        swarm.sweep()
+        chain.append(swarm.snapshot(parent=chain[-1]))
+        ota(swarm, 1)
+        swarm.sweep()
+        chain.append(swarm.snapshot(parent=chain[-1]))
+        full = swarm.snapshot()
+        dirty = [regions(chain[1], member)["flash"]["delta"]["dirty"]
+                 for member in range(2)]
+        assert set(dirty[1]) - set(dirty[0]) == {2}
+        calls = self.spy(monkeypatch)
+        assert canonical(materialize_chain(chain)) == canonical(full)
+        assert calls.count("flash") == 2
+        images = [full["blobs"][regions(full, member)["flash"]
+                                ["fingerprint"]] for member in range(2)]
+        assert images[0] != images[1]
+
+    def test_corrupt_chunk_shared_by_every_member_is_refused(self):
+        swarm = build_swarm(size=4, seed="delta-ota-corrupt")
+        swarm.sweep()
+        chain, _ = ota_chain(swarm, 2)
+        bad = json.loads(json.dumps(chain))
+        tip = bad[-1]
+        delta = regions(tip)["flash"]["delta"]
+        assert all(regions(tip, member)["flash"]["delta"] == delta
+                   for member in range(4))
+        index = unb64(tip["blobs"][delta["index"]])
+        chunk = delta["dirty"][0]
+        key = index[chunk * 20:(chunk + 1) * 20].hex()
+        payload = bytearray(unb64(tip["blobs"][key]))
+        payload[0] ^= 0x01
+        tip["blobs"][key] = b64(bytes(payload))
+        before = [canonical(document) for document in bad]
+        with pytest.raises(SnapshotError,
+                           match="does not match the tip checkpoint"):
+            materialize_chain(bad)
+        assert [canonical(document) for document in bad] == before
+
+    def test_truncated_tip_index_is_refused(self):
+        """The end-to-end check covers every chunk of the window: a tip
+        index cut to one digest must not let a corrupt root image
+        through an ``unchanged`` region."""
+        swarm = build_swarm(size=2, seed="delta-short-index")
+        swarm.sweep()
+        root = swarm.snapshot()
+        rewrite(swarm, 0)
+        swarm.sweep()
+        chain = [root, swarm.snapshot(parent=root)]
+        assert regions(chain[1])["flash"]["delta"]["mode"] == "unchanged"
+
+        def tampered(truncate):
+            bad = json.loads(json.dumps(chain))
+            fingerprint = regions(bad[0])["flash"]["fingerprint"]
+            image = bytearray(unb64(bad[0]["blobs"][fingerprint]))
+            image[-1] ^= 0xFF
+            bad[0]["blobs"][fingerprint] = b64(bytes(image))
+            if truncate:
+                key = regions(bad[1])["flash"]["delta"]["index"]
+                bad[1]["blobs"][key] = b64(unb64(bad[1]["blobs"][key])[:20])
+            return relink(bad)
+
+        with pytest.raises(SnapshotError,
+                           match="chunk-digest index at chain document 1 "
+                                 "has 1 entries"):
+            materialize_chain(tampered(truncate=True))
+        with pytest.raises(SnapshotError,
+                           match="does not match the tip checkpoint"):
+            materialize_chain(tampered(truncate=False))
+
+
+class TestHostileRegionDeltas:
+    """Type-confused region delta records fail with a typed error and
+    never mutate the documents handed in."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        swarm = build_swarm(seed="delta-hostile-regions")
+        swarm.sweep()
+        chain, _ = capture_chain(swarm, 2)
+        return chain
+
+    @staticmethod
+    def refused(chain, mutate, match):
+        bad = json.loads(json.dumps(chain))
+        record = regions(bad[1])["ram"]
+        assert record["delta"]["mode"] == "chunks"
+        mutate(record)
+        relink(bad)
+        before = [canonical(document) for document in bad]
+        with pytest.raises(SnapshotError, match=match):
+            materialize_chain(bad)
+        assert [canonical(document) for document in bad] == before
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("chunk_size", 0, "chunk_size .* must be a positive integer"),
+        ("chunk_size", -4096, "chunk_size .* must be a positive integer"),
+        ("chunk_size", "4096", "chunk_size .* must be a positive integer"),
+        ("chunk_size", True, "chunk_size .* must be a positive integer"),
+        ("chunk_size", [4096], "chunk_size .* must be a positive integer"),
+        ("dirty", [[0]], "dirty .* must be a list of chunk numbers"),
+        ("dirty", "0", "dirty .* must be a list of chunk numbers"),
+        ("dirty", [1.0], "dirty .* must be a list of chunk numbers"),
+        ("dirty", {"0": 0}, "dirty .* must be a list of chunk numbers"),
+        ("dirty", [10 ** 6], "dirty chunk 1000000 out of range"),
+        ("index", 5, "index .* must be a hex string"),
+        ("index", ["ab"], "index .* must be a hex string"),
+        ("index", "zz", "missing blob"),
+        ("mode", ["chunks"], "unknown delta mode"),
+        ("mode", None, "unknown delta mode"),
+    ])
+    def test_bad_field(self, chain, field, value, match):
+        def mutate(record):
+            record["delta"][field] = value
+        self.refused(chain, mutate, match)
+
+    @pytest.mark.parametrize("field", ["chunk_size", "index", "dirty"])
+    def test_missing_field(self, chain, field):
+        def mutate(record):
+            del record["delta"][field]
+        self.refused(chain, mutate, field if field != "index"
+                     else "no chunk-digest index|must be a hex string")
+
+    @pytest.mark.parametrize("value", ["chunks", ["chunks"], 7])
+    def test_delta_that_is_not_an_object(self, chain, value):
+        def mutate(record):
+            record["delta"] = value
+        self.refused(chain, mutate, "delta record .* must be an object")
+
+
+class TestCorruptBase64:
+    """Every base64 field of a document fails with a typed error:
+    malformed text, non-ASCII text, or a payload of the wrong size."""
+
+    SEED = "delta-b64"
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        swarm = build_swarm(size=2, seed=self.SEED)
+        swarm.sweep()
+        return swarm.snapshot()
+
+    @staticmethod
+    def locate(document, field):
+        """``(box, key)`` holding the field's base64 text."""
+        if field == "blob":
+            return document["blobs"], next(iter(document["blobs"]))
+        if field == "prefix":
+            return regions(document)["ram"], "prefix"
+        session = _session_states(document["state"], "swarm")[0]
+        if field == "mpu":
+            return session["device"], "mpu"
+        if field == "outstanding":
+            request = b64(AttestationRequest(challenge=b"c" * 20).to_bytes())
+            session["verifier_node"]["outstanding"] = [request]
+            return session["verifier_node"]["outstanding"], 0
+        transcript = channel(document)["transcript"]
+        assert transcript
+        return transcript[0]["message"], "data"
+
+    @pytest.mark.parametrize("field", ["blob", "prefix", "mpu", "message",
+                                       "outstanding"])
+    @pytest.mark.parametrize("value", ["abc", "\u00e9", "truncated"])
+    def test_typed_error(self, document, field, value):
+        bad = json.loads(json.dumps(document))
+        box, key = self.locate(bad, field)
+        if value == "truncated":
+            value = b64(unb64(box[key])[:-1])
+        box[key] = value
+        before = canonical(bad)
+        if field == "blob":
+            with pytest.raises(SnapshotError):
+                materialize_chain([bad])
+        with pytest.raises(SnapshotError):
+            build_swarm(size=2, seed=self.SEED).restore(bad)
+        assert canonical(bad) == before
 
 
 class TestInvalidateTimesDeltaRestore:
