@@ -11,7 +11,7 @@ touching a single simulated number.
 Artefacts:
 
 * ``BENCH_wallclock.json`` at the repository root (schema
-  ``repro.perf.wallclock/v1``, validated by ``scripts/perf_smoke.py``);
+  ``repro.perf.wallclock/v1``, validated by ``tests/gates/``);
 * ``benchmarks/results/wallclock_trajectory.txt``, the human-readable
   rendering.
 

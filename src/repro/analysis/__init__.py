@@ -27,8 +27,8 @@ Two passes, one report:
     JSON document validated by :mod:`repro.obs.schema`.
 
 CLI: ``repro verify-profile``, ``repro lint``, ``repro taint`` and the
-unified ``repro analyze``; CI gates: ``scripts/analysis_smoke.py`` and
-``scripts/taint_smoke.py``.
+unified ``repro analyze``; tier-1 gates: ``tests/gates/test_analysis.py``
+and ``tests/gates/test_taint.py``.
 """
 
 from .canary import (CANARY_MASTER_KEY, CanaryHit, CanaryReport,

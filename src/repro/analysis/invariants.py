@@ -70,7 +70,7 @@ ATTACK_FOR_INVARIANT = {
 
 #: Ground truth for the four shipped profiles: which invariants each one
 #: is *expected* to fail (clock-design independent).  ``repro
-#: verify-profile`` and ``scripts/analysis_smoke.py`` gate on this.
+#: verify-profile`` and ``tests/analysis/test_invariants.py`` gate on this.
 EXPECTED_FAILURES = {
     "unprotected": frozenset({"mpu-lockdown", "key-confidentiality",
                               "counter-rollback-protection",

@@ -34,14 +34,10 @@ Rules
     ``.observe`` on a telemetry-ish receiver must exist in
     :data:`repro.obs.schema.METRIC_NAMES`; literal kinds passed to
     ``.event`` must exist in :data:`repro.obs.trace.EVENT_KINDS`.
-``DEP001``
-    No new uses of deprecated aliases: ``retry_delay_seconds``,
-    ``MonitorPolicy(max_retries=...)``, ``.unresponsive``.
 
 Violations can be waived by a checked-in JSON waiver list (one entry =
-one rule+path pair with a justification); the definition sites of the
-deprecated aliases themselves are waived this way rather than
-special-cased in rule logic.
+one rule+path pair with a justification) rather than special-cased in
+rule logic.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ __all__ = ["LintViolation", "Waiver", "LintReport", "load_waivers",
            "DEFAULT_LINT_DIRS", "HOST_BOUNDARY_MODULES"]
 
 #: Directories scanned by default, relative to the repo root.
-DEFAULT_LINT_DIRS = ("src", "scripts", "benchmarks", "examples", "tests")
+DEFAULT_LINT_DIRS = ("src", "benchmarks", "examples", "tests")
 
 _HOST_CLOCK_CALLS = {
     ("time", "time"), ("time", "monotonic"), ("time", "monotonic_ns"),
@@ -75,12 +71,6 @@ _HOST_CLOCK_CALLS = {
 }
 
 _TELEMETRY_METRIC_METHODS = {"count", "set_gauge", "observe"}
-
-_DEPRECATED_ATTRIBUTES = {
-    "retry_delay_seconds": "use the retry= RetryPolicy instead",
-    "unresponsive": "use no_response + refused",
-}
-
 
 @dataclass(frozen=True)
 class LintViolation:
@@ -326,31 +316,8 @@ def _check_telemetry_names(tree: ast.AST, path: str):
                    f"repro.obs.schema.METRIC_NAMES")
 
 
-def _check_deprecated(tree: ast.AST, path: str):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            hint = _DEPRECATED_ATTRIBUTES.get(node.attr)
-            if hint is not None:
-                yield ("DEP001", node.lineno, node.col_offset,
-                       f"deprecated attribute .{node.attr} ({hint})")
-        elif isinstance(node, ast.Call):
-            callee = _dotted(node.func)
-            for kw in node.keywords:
-                if kw.arg == "retry_delay_seconds":
-                    yield ("DEP001", kw.value.lineno,
-                           kw.value.col_offset,
-                           "deprecated keyword retry_delay_seconds= "
-                           "(use retry= with a RetryPolicy)")
-                elif (kw.arg == "max_retries" and callee is not None
-                        and callee[-1] == "MonitorPolicy"):
-                    yield ("DEP001", kw.value.lineno,
-                           kw.value.col_offset,
-                           "deprecated MonitorPolicy(max_retries=) "
-                           "(use retry= with a RetryPolicy)")
-
-
 _ALL_CHECKS = (_check_host_clock, _check_host_random, _check_float_cycles,
-               _check_telemetry_names, _check_deprecated)
+               _check_telemetry_names)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ _BRANCH_SINK_KINDS = frozenset({"telemetry", "trace"})
 #: leak could, and plant a deliberate telemetry leak in ``leak=True``
 #: mode -- every one of those lines is a true positive by design.  Its
 #: confidentiality obligations are checked by its own verdicts (a hunt
-#: whose clean run is not clean fails the smoke gate), not by KEY001.
+#: whose clean run is not clean fails the canary gate), not by KEY001.
 EXCLUDED_SELF_MODULES = frozenset({
     "src/repro/analysis/canary.py",
 })

@@ -660,42 +660,38 @@ def _cmd_snapshot_save(args) -> int:
         print("error: --delta needs --parent (the checkpoint to diff "
               "against)", file=sys.stderr)
         return 1
-    try:
-        if args.parent is not None:
-            chain = load_chain(args.parent)
-            spec = (chain[-1].get("meta") or {}).get("spec")
-            if spec is None:
-                raise SnapshotError(
-                    f"{args.parent} has no embedded rebuild spec; it was "
-                    f"not written by 'repro snapshot save'")
-            if not spec.get("incremental"):
-                raise SnapshotError(
-                    "delta capture needs digest trees: re-save the parent "
-                    "with 'repro snapshot save --incremental'")
-            swarm = _restore_from_chain(chain, spec)
-            parent_doc = chain[-1]
-        else:
-            spec = swarm_spec(size=args.size, profile=args.profile,
-                              auth_scheme=args.scheme, policy=args.policy,
-                              ram_kb=args.ram_kb, retry=args.retry,
-                              faults=args.faults,
-                              incremental=args.incremental,
-                              stagger_seconds=args.stagger, seed=args.seed)
-            swarm = build_swarm_from_spec(spec)
-            parent_doc = None
-        report = None
-        for _ in range(args.sweeps):
-            report = swarm.sweep(stagger_seconds=spec["stagger_seconds"])
-        if parent_doc is not None:
-            document = swarm.snapshot(parent=parent_doc)
-            document["meta"] = {"spec": spec, "parent_path": args.parent}
-        else:
-            document = swarm.snapshot()
-            document["meta"] = {"spec": spec}
-        save_document(document, args.out)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.parent is not None:
+        chain = load_chain(args.parent)
+        spec = (chain[-1].get("meta") or {}).get("spec")
+        if spec is None:
+            raise SnapshotError(
+                f"{args.parent} has no embedded rebuild spec; it was "
+                f"not written by 'repro snapshot save'")
+        if not spec.get("incremental"):
+            raise SnapshotError(
+                "delta capture needs digest trees: re-save the parent "
+                "with 'repro snapshot save --incremental'")
+        swarm = _restore_from_chain(chain, spec)
+        parent_doc = chain[-1]
+    else:
+        spec = swarm_spec(size=args.size, profile=args.profile,
+                          auth_scheme=args.scheme, policy=args.policy,
+                          ram_kb=args.ram_kb, retry=args.retry,
+                          faults=args.faults,
+                          incremental=args.incremental,
+                          stagger_seconds=args.stagger, seed=args.seed)
+        swarm = build_swarm_from_spec(spec)
+        parent_doc = None
+    report = None
+    for _ in range(args.sweeps):
+        report = swarm.sweep(stagger_seconds=spec["stagger_seconds"])
+    if parent_doc is not None:
+        document = swarm.snapshot(parent=parent_doc)
+        document["meta"] = {"spec": spec, "parent_path": args.parent}
+    else:
+        document = swarm.snapshot()
+        document["meta"] = {"spec": spec}
+    save_document(document, args.out)
     blobs = document["blobs"]
     flavour = "delta blob(s)" if parent_doc is not None \
         else "unique memory image(s)"
@@ -742,14 +738,8 @@ def _cmd_snapshot_restore(args) -> int:
     """Resume a checkpointed fleet and run more sweeps."""
     import json
 
-    from .errors import SnapshotError
-
-    try:
-        document, spec, swarm = _load_snapshot_swarm(args.file)
-        swarm.restore(document)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    document, spec, swarm = _load_snapshot_swarm(args.file)
+    swarm.restore(document)
     resumed_at = swarm.sweeps_run
     report = None
     for _ in range(args.sweeps):
@@ -778,16 +768,10 @@ def _cmd_snapshot_replay(args) -> int:
     """Restore a checkpoint and re-drive it to an exact trace event."""
     import json
 
-    from .errors import SnapshotError
-
-    try:
-        document, spec, swarm = _load_snapshot_swarm(args.file)
-        records = swarm.replay_to_seq(
-            document, args.seq, stagger_seconds=spec["stagger_seconds"],
-            max_sweeps=args.max_sweeps)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    document, spec, swarm = _load_snapshot_swarm(args.file)
+    records = swarm.replay_to_seq(
+        document, args.seq, stagger_seconds=spec["stagger_seconds"],
+        max_sweeps=args.max_sweeps)
     tail = records if args.tail is None else records[-args.tail:]
     for record in tail:
         print(json.dumps(record, sort_keys=True))
@@ -798,20 +782,15 @@ def _cmd_snapshot_replay(args) -> int:
 
 def _cmd_snapshot_compact(args) -> int:
     """Squash a delta chain into one standalone full checkpoint."""
-    from .errors import SnapshotError
     from .snapshot import compact_chain, load_chain, save_document
 
-    try:
-        documents = load_chain(args.file)
-        if len(documents) == 1:
-            print(f"error: {args.file} is already a full snapshot",
-                  file=sys.stderr)
-            return 1
-        compacted = compact_chain(documents)
-        save_document(compacted, args.out)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    documents = load_chain(args.file)
+    if len(documents) == 1:
+        print(f"error: {args.file} is already a full snapshot",
+              file=sys.stderr)
         return 1
+    compacted = compact_chain(documents)
+    save_document(compacted, args.out)
     print(f"wrote {args.out}: {len(documents)} chain document(s) folded, "
           f"{len(compacted['blobs'])} unique memory image(s)",
           file=sys.stderr)
@@ -821,11 +800,14 @@ def _cmd_snapshot_compact(args) -> int:
 def _match_predicate(pairs: list):
     """Build a trace-record predicate from ``KEY=VALUE`` args (every
     pair must match; values compare against ``str(record[key])``)."""
+    from .errors import ConfigurationError
+
     matches = []
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise ValueError(f"--match needs KEY=VALUE, got {pair!r}")
+            raise ConfigurationError(
+                f"--match needs KEY=VALUE, got {pair!r}")
         matches.append((key, value))
     return lambda record: all(str(record.get(key)) == value
                               for key, value in matches)
@@ -838,27 +820,19 @@ def _cmd_snapshot_bisect(args) -> int:
     from .errors import SnapshotError
     from .snapshot import bisect_replay, load_document
 
-    try:
-        predicate = _match_predicate(args.match)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        documents = [load_document(path) for path in args.files]
-        meta = documents[0].get("meta") or {}
-        if "spec" not in meta:
-            raise SnapshotError(
-                f"{args.files[0]} has no embedded rebuild spec; it was "
-                f"not written by 'repro snapshot save'")
-        from .snapshot import build_swarm_from_spec
-        spec = meta["spec"]
-        swarm = build_swarm_from_spec(spec)
-        result = bisect_replay(swarm, documents, predicate,
-                               stagger_seconds=spec["stagger_seconds"],
-                               hi=args.hi, max_sweeps=args.max_sweeps)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    predicate = _match_predicate(args.match)
+    documents = [load_document(path) for path in args.files]
+    meta = documents[0].get("meta") or {}
+    if "spec" not in meta:
+        raise SnapshotError(
+            f"{args.files[0]} has no embedded rebuild spec; it was "
+            f"not written by 'repro snapshot save'")
+    from .snapshot import build_swarm_from_spec
+    spec = meta["spec"]
+    swarm = build_swarm_from_spec(spec)
+    result = bisect_replay(swarm, documents, predicate,
+                           stagger_seconds=spec["stagger_seconds"],
+                           hi=args.hi, max_sweeps=args.max_sweeps)
     print(json.dumps(result, indent=2, sort_keys=True))
     print(f"# first match at seq {result['seq']} after "
           f"{result['probes']} probe(s), {result['events_replayed']} "
@@ -923,26 +897,22 @@ def _cmd_serve(args) -> int:
                                    service_spec)
     from .snapshot import load_document, save_document
 
-    try:
-        if args.restore:
-            document = load_document(args.restore)
-            meta = document.get("meta", {})
-            if "spec" not in meta:
-                raise SnapshotError(
-                    f"{args.restore} has no embedded rebuild spec; it was "
-                    f"not written by 'repro serve --snapshot'")
-            spec = meta["spec"]
-            service = build_service_from_spec(spec)
-            service.restore(document)
-        else:
-            spec = service_spec(size=args.devices, tenants=args.tenants,
-                                backends=args.backends,
-                                duty_fraction=args.duty,
-                                burst_seconds=args.burst, seed=args.seed)
-            service = build_service_from_spec(spec)
-    except (SnapshotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.restore:
+        document = load_document(args.restore)
+        meta = document.get("meta", {})
+        if "spec" not in meta:
+            raise SnapshotError(
+                f"{args.restore} has no embedded rebuild spec; it was "
+                f"not written by 'repro serve --snapshot'")
+        spec = meta["spec"]
+        service = build_service_from_spec(spec)
+        service.restore(document)
+    else:
+        spec = service_spec(size=args.devices, tenants=args.tenants,
+                            backends=args.backends,
+                            duty_fraction=args.duty,
+                            burst_seconds=args.burst, seed=args.seed)
+        service = build_service_from_spec(spec)
     start = service.virtual_now + (args.spacing if args.restore else 0.0)
     schedule = build_schedule(spec["size"], waves=args.waves,
                               spacing_seconds=args.spacing,
@@ -1156,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="determinism/consistency lint over the repo")
     p.add_argument("paths", nargs="*",
                    help="directories to scan, relative to --root "
-                        "(default: src scripts benchmarks examples tests)")
+                        "(default: src benchmarks examples tests)")
     p.add_argument("--root", default=".",
                    help="repository root the scan is relative to")
     p.add_argument("--waivers", default="lint-waivers.json",
@@ -1371,8 +1341,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

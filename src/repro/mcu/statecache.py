@@ -31,7 +31,7 @@ be observationally identical to a recompute.  The device therefore
 
 Sharing one cache across a fleet turns spin-up from O(N * measure) into
 O(unique_configs * measure + N * cheap) and removes the per-attestation
-hash from sweeps; ``scripts/fleet_smoke.py`` gates both the hit-count
+hash from sweeps; ``tests/gates/test_fleet.py`` gates both the hit-count
 arithmetic and the digest equivalence.
 """
 

@@ -114,7 +114,6 @@ LINT_RULE_IDS = frozenset({
     "DET002",   # stdlib random in simulated-path modules
     "FLT001",   # float arithmetic in cycle-accounting functions
     "TEL001",   # telemetry name not in the schema vocabulary
-    "DEP001",   # deprecated alias use
 })
 
 #: The closed set of key-confidentiality rule identifiers
@@ -541,7 +540,7 @@ SNAPSHOT_DELTA_SCHEMA = {
 
 
 #: Schema of the static-analysis report (``repro verify-profile --json``,
-#: ``repro lint --json`` and ``scripts/analysis_smoke.py`` all emit or
+#: ``repro lint --json`` and ``tests/gates/test_analysis.py`` all emit or
 #: embed this envelope; byte-identical for identical inputs).
 ANALYSIS_SCHEMA = {
     "type": "object",
@@ -746,7 +745,7 @@ def validate_wallclock_report(report: dict) -> list[str]:
     Checks the report envelope, every sweep entry, the naive baseline,
     the speedup and equivalence blocks.  Shape only -- whether the
     equivalence block is *clean* (``identical: true``) is policy, and
-    ``scripts/perf_smoke.py`` enforces it separately.
+    ``tests/gates/test_perf.py`` enforces it separately.
     """
     errors = _check(report, WALLCLOCK_SCHEMA, "wallclock")
     if not isinstance(report, dict):
@@ -779,7 +778,7 @@ def validate_fleet_report(report: dict) -> list[str]:
     blocks and the parallel-vs-sequential equivalence block.  Shape
     only -- whether the equivalence block is *clean* and the speedup
     meets the >=2x gate is policy, enforced by the benchmark itself and
-    ``scripts/fleet_smoke.py``.
+    ``tests/gates/test_fleet.py``.
     """
     errors = _check(report, FLEET_SCHEMA, "fleet")
     if not isinstance(report, dict):
@@ -807,7 +806,7 @@ def validate_incremental_report(report: dict) -> list[str]:
     Checks the envelope, every dirty-fraction point, the speedup gate
     and the equivalence block.  Shape only -- whether the gate *passed*
     and the equivalence block is clean is policy, enforced by the
-    benchmark itself and ``scripts/incremental_smoke.py``.
+    benchmark itself and ``tests/gates/test_incremental.py``.
     """
     errors = _check(report, INCREMENTAL_SCHEMA, "incremental")
     if not isinstance(report, dict):
@@ -834,7 +833,7 @@ def validate_service_report(report: dict) -> list[str]:
     and the serviced-vs-sequential equivalence block.  Shape only --
     whether the gate *passed* and the equivalence block is clean is
     policy, enforced by the benchmark itself and
-    ``scripts/service_smoke.py``.
+    ``tests/gates/test_service.py``.
     """
     errors = _check(report, SERVICE_SCHEMA, "service")
     if not isinstance(report, dict):
@@ -924,7 +923,7 @@ def validate_snapshot_report(report: dict) -> list[str]:
     Checks the envelope, every dirty-fraction point, the speedup/bytes
     gate and the delta-chain equivalence block.  Shape only -- whether
     the gate *passed* and the equivalence block is clean is policy,
-    enforced by the benchmark itself and ``scripts/delta_smoke.py``.
+    enforced by the benchmark itself.
     """
     errors = _check(report, SNAPSHOT_BENCH_SCHEMA, "snapshot")
     if not isinstance(report, dict):
@@ -950,7 +949,7 @@ def validate_analysis_report(report: dict) -> list[str]:
     Checks the envelope, every per-profile invariant report and verdict,
     and the lint section including each (waived) violation entry.  Shape
     only -- whether the verdicts are the *expected* ones for the shipped
-    profiles is policy, enforced by ``scripts/analysis_smoke.py``.
+    profiles is policy, enforced by ``tests/analysis/test_invariants.py``.
     """
     errors = _check(report, ANALYSIS_SCHEMA, "analysis")
     if not isinstance(report, dict):

@@ -15,7 +15,7 @@ produce byte-identical digests, response MACs, consumed cycles,
 :class:`~repro.core.prover.ProverStats` and telemetry registry dumps as
 the naive reference on a full protocol scenario.  A report whose
 equivalence block is not clean is a correctness regression, not a perf
-number; ``scripts/perf_smoke.py`` fails CI on it.
+number; ``tests/gates/test_perf.py`` fails CI on it.
 
 All timings here are host time (``time.perf_counter``).  Simulated time
 lives in :mod:`repro.crypto.costmodel` and never appears in this module

@@ -26,7 +26,6 @@ Escalation ladder:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from ..core.protocol import Session
@@ -41,48 +40,20 @@ __all__ = ["MonitorEvent", "MonitorPolicy", "AttestationMonitor"]
 class MonitorPolicy:
     """Tunable knobs of the monitoring loop.
 
-    ``retry_delay_seconds`` and ``max_retries`` are the legacy
-    fixed-cadence knobs, kept as deprecated aliases: when ``retry`` is
-    not given they are translated into an equivalent
-    :class:`~repro.core.resilience.RetryPolicy` (per-attempt deadline =
-    ``retry_delay_seconds``, no backoff, no budget).  New code should
-    pass ``retry`` directly.
+    ``retry`` governs each round's attempts; the default is a 5 s
+    per-attempt deadline with up to two retries, no backoff and no
+    total budget.
     """
 
     interval_seconds: float = 600.0
-    retry_delay_seconds: float = 5.0   # deprecated: use ``retry``
-    max_retries: int = 2               # deprecated: use ``retry``
     failure_threshold: int = 3
-    retry: RetryPolicy | None = None
+    retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self):
         if self.interval_seconds <= 0:
             raise ConfigurationError("monitor intervals must be positive")
         if self.failure_threshold < 1:
-            raise ConfigurationError("invalid retry/threshold settings")
-        if self.retry is not None:
-            # An explicit retry policy supersedes the deprecated
-            # fixed-cadence knobs: effective_retry() never reads them, so
-            # rejecting their values here would fail configurations over
-            # fields that cannot take effect.  Flag any non-default value
-            # instead of validating it.
-            if self.retry_delay_seconds != 5.0 or self.max_retries != 2:
-                warnings.warn(
-                    "retry_delay_seconds=/max_retries= are ignored when "
-                    "retry= is given; configure the RetryPolicy instead "
-                    "[DEP001]", DeprecationWarning, stacklevel=3)
-            return
-        if self.retry_delay_seconds <= 0:
-            raise ConfigurationError("monitor intervals must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("invalid retry/threshold settings")
-
-    def effective_retry(self) -> RetryPolicy:
-        """The retry policy this monitor actually runs."""
-        if self.retry is not None:
-            return self.retry
-        return RetryPolicy(attempt_timeout_seconds=self.retry_delay_seconds,
-                           max_retries=self.max_retries)
+            raise ConfigurationError("failure threshold must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +106,7 @@ class AttestationMonitor:
         per-round average derived from it.  ``attempts_run`` carries the
         per-attempt count separately.
         """
-        retry = self.policy.effective_retry()
+        retry = self.policy.retry
         sim = self.session.sim
         node = self.session.verifier_node
         round_start = sim.now

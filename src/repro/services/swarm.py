@@ -151,11 +151,6 @@ class SweepReport:
     sweep_seconds: float = 0.0
 
     @property
-    def unresponsive(self) -> list[str]:
-        """Deprecated pre-split bucket: ``no_response`` + ``refused``."""
-        return self.no_response + self.refused
-
-    @property
     def healthy(self) -> bool:
         return not (self.untrusted or self.no_response or self.refused
                     or self.skipped_quarantined)
@@ -203,7 +198,7 @@ class Swarm:
         (:func:`~repro.crypto.hmac.pin_hmac_midstates`) so per-member
         finalization never recomputes a pad block.  Host-side only:
         digests, simulated cycles, energy and reports are byte-identical
-        to the full-walk path (``scripts/incremental_smoke.py`` gates
+        to the full-walk path (``tests/gates/test_incremental.py`` gates
         this).
     """
 

@@ -57,7 +57,7 @@ SHA-1 of its canonical JSON; a delta's ``parent_id`` must equal its
 parent's id, so a chain is verified end to end before any folding.
 :func:`materialize_chain` folds parent -> child overlays into a plain
 full document that is **byte-identical** to one captured directly (the
-equivalence gates in ``scripts/delta_smoke.py`` and
+equivalence gates in ``tests/gates/test_delta.py`` and
 ``repro.perf.snapshot`` enforce this); :func:`compact_chain` is the
 user-facing squash.
 """
@@ -890,6 +890,10 @@ def load_chain(path: str) -> list[dict]:
             raise SnapshotError(
                 f"delta document {current} carries no meta.parent_path; "
                 f"pass its parent explicitly")
+        if not isinstance(parent_path, str):
+            raise SnapshotError(
+                f"delta document {current}: meta.parent_path must be a "
+                f"string, got {type(parent_path).__name__}")
         current = os.path.normpath(
             os.path.join(os.path.dirname(current), parent_path))
     documents.reverse()

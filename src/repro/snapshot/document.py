@@ -83,8 +83,12 @@ def save_document(document: dict, path: str) -> None:
 
 
 def load_document(path: str) -> dict:
-    with open(path) as handle:
-        document = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"{path} is not a JSON document: {exc}") \
+            from None
     if (isinstance(document, dict)
             and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID):
         errors = validate_snapshot_delta(document)

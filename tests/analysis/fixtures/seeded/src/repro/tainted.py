@@ -3,8 +3,8 @@
 This file lives under ``tests/analysis/fixtures/seeded`` and is linted
 with that directory as the scan root, which puts it on the simulated
 path (``src/repro/``) where every determinism rule applies.  Each
-construct below must be flagged; ``scripts/analysis_smoke.py`` fails if
-any goes undetected.  The real repo-root lint does *not* flag this file
+construct below must be flagged; ``tests/analysis/test_lint.py`` fails
+if any goes undetected.  The real repo-root lint does *not* flag this file
 because, relative to the repo, it is test data, not simulator source.
 """
 

@@ -1,7 +1,7 @@
 """Deliberately leaky module for the taint analyzer's failure-mode gate.
 
 Every function below violates the key-confidentiality policy in a
-distinct way; ``scripts/taint_smoke.py`` fails if any of them goes
+distinct way; ``tests/gates/test_taint.py`` fails if any of them goes
 undetected.  This file lives under a fixture root and is never
 imported.
 """

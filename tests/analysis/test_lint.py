@@ -13,7 +13,6 @@ import pytest
 from repro.analysis.lint import (Waiver, lint_source, lint_tree,
                                  load_waivers)
 from repro.analysis.report import build_report, render_report_json
-from repro.analysis.invariants import verify_shipped_profiles
 from repro.obs.schema import validate_analysis_report
 
 REPO = Path(__file__).resolve().parents[2]
@@ -140,28 +139,6 @@ class TestTelemetryNameRule:
         assert rules_in(source) == set()
 
 
-class TestDeprecatedAliasRule:
-    def test_retry_delay_seconds_kwarg(self):
-        source = "p = MonitorPolicy(retry_delay_seconds=5.0)\n"
-        assert "DEP001" in rules_in(source, "examples/demo.py")
-
-    def test_monitor_policy_max_retries_kwarg(self):
-        source = "p = MonitorPolicy(max_retries=2)\n"
-        assert "DEP001" in rules_in(source, "examples/demo.py")
-
-    def test_retry_policy_max_retries_is_fine(self):
-        source = "p = RetryPolicy(max_retries=2)\n"
-        assert rules_in(source, "examples/demo.py") == set()
-
-    def test_unresponsive_attribute(self):
-        source = "def f(result):\n    return result.unresponsive\n"
-        assert "DEP001" in rules_in(source, "examples/demo.py")
-
-    def test_applies_everywhere_including_tests(self):
-        source = "p = MonitorPolicy(retry_delay_seconds=5.0)\n"
-        assert "DEP001" in rules_in(source, "tests/test_demo.py")
-
-
 class TestWaivers:
     def test_waiver_matches_rule_and_path(self):
         waiver = Waiver(rule="DET002", path=SIM_PATH, reason="test double")
@@ -172,7 +149,7 @@ class TestWaivers:
 
     def test_load_waivers_requires_reason(self, tmp_path):
         bad = tmp_path / "waivers.json"
-        bad.write_text('[{"rule": "DEP001", "path": "x.py", "reason": ""}]')
+        bad.write_text('[{"rule": "DET002", "path": "x.py", "reason": ""}]')
         with pytest.raises(ValueError, match="justification"):
             load_waivers(bad)
 
@@ -186,13 +163,10 @@ class TestWaivers:
     def test_missing_waiver_file_means_no_waivers(self, tmp_path):
         assert load_waivers(tmp_path / "absent.json") == []
 
-    def test_checked_in_waivers_load_and_apply(self):
-        waivers = load_waivers(REPO / "lint-waivers.json")
-        assert waivers
-        report = lint_tree(REPO, waivers=waivers)
-        assert report.clean, [v.as_dict() for v in report.violations]
-        assert report.waived
-        assert all(v.waiver_reason for v in report.waived)
+    def test_checked_in_waivers_load_and_apply(self, repo_lint):
+        assert isinstance(load_waivers(REPO / "lint-waivers.json"), list)
+        assert repo_lint.clean, [v.as_dict() for v in repo_lint.violations]
+        assert all(v.waiver_reason for v in repo_lint.waived)
 
 
 class TestAsyncHostClock:
@@ -230,11 +204,9 @@ class TestStaleWaivers:
         assert {"rule": "DET002", "path": "src/repro/never/was.py",
                 "reason": "waives nothing"} in entries
 
-    def test_checked_in_waivers_are_all_live(self):
-        report = lint_tree(
-            REPO, waivers=load_waivers(REPO / "lint-waivers.json"))
-        assert report.stale_waivers == (), [
-            (w.rule, w.path) for w in report.stale_waivers]
+    def test_checked_in_waivers_are_all_live(self, repo_lint):
+        assert repo_lint.stale_waivers == (), [
+            (w.rule, w.path) for w in repo_lint.stale_waivers]
 
     def test_stale_does_not_unclean_report(self):
         """Staleness is a CLI exit-code concern (overridable with
@@ -254,23 +226,20 @@ class TestTaintedFixtureTree:
             "DET001", "DET002", "FLT001", "TEL001"}
         assert not report.clean
 
-    def test_fixture_does_not_taint_repo_root_lint(self):
-        report = lint_tree(
-            REPO, waivers=load_waivers(REPO / "lint-waivers.json"))
-        tainted = [v for v in report.violations
+    def test_fixture_does_not_taint_repo_root_lint(self, repo_lint):
+        tainted = [v for v in repo_lint.violations
                    if "fixtures/seeded" in v.path]
         assert tainted == []
 
 
 class TestCombinedReport:
-    def test_report_validates_and_is_deterministic(self):
-        waivers = load_waivers(REPO / "lint-waivers.json")
-        profiles = verify_shipped_profiles()
-        lint = lint_tree(REPO, waivers=waivers)
-        report = build_report(profiles, lint)
+    def test_report_validates_and_is_deterministic(self, shipped_profiles,
+                                                   repo_lint):
+        report = build_report(shipped_profiles, repo_lint)
         assert validate_analysis_report(report) == []
         assert (render_report_json(report)
-                == render_report_json(build_report(profiles, lint)))
+                == render_report_json(build_report(shipped_profiles,
+                                                   repo_lint)))
 
     def test_malformed_report_rejected(self):
         assert validate_analysis_report({"schema": "repro.analysis/v1"})

@@ -1,8 +1,8 @@
 """Unit tests for the key-confidentiality taint client.
 
-The real acceptance criteria live in ``scripts/taint_smoke.py`` (clean
-tree, seeded fixture, canary agreement, determinism); these tests pin
-the analysis semantics one rule at a time against minimal sources, plus
+The acceptance gates live in ``tests/gates/test_taint.py`` (clean tree,
+seeded fixture, canary agreement, determinism); these tests pin the
+analysis semantics one rule at a time against minimal sources, plus
 policy loading/waiving/staleness mechanics.
 """
 
@@ -171,20 +171,17 @@ class TestStalePolicy:
         assert [e["kind"] for e in report.stale_policy] == [
             "boundary-module"]
 
-    def test_checked_in_policy_is_not_stale_on_the_real_tree(self):
-        report = analyze_taint_tree(
-            REPO, policy=load_policy(REPO / "taint-policy.json"))
-        assert report.stale_policy == ()
+    def test_checked_in_policy_is_not_stale_on_the_real_tree(
+            self, repo_taint):
+        assert repo_taint.stale_policy == ()
 
 
 class TestCleanTree:
-    def test_repo_is_key_tight(self):
-        report = analyze_taint_tree(
-            REPO, policy=load_policy(REPO / "taint-policy.json"))
-        assert report.clean, [v.as_dict() for v in report.violations]
-        assert report.rounds < MAX_ROUNDS
-        assert report.files_scanned > 50
-        assert report.sinks  # the sink catalogue itself is non-empty
+    def test_repo_is_key_tight(self, repo_taint):
+        assert repo_taint.clean, [v.as_dict() for v in repo_taint.violations]
+        assert repo_taint.rounds < MAX_ROUNDS
+        assert repo_taint.files_scanned > 50
+        assert repo_taint.sinks  # the sink catalogue itself is non-empty
 
     def test_canary_module_is_self_excluded(self):
         """The leak hunter deliberately derives keys and encodes them

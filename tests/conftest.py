@@ -1,11 +1,28 @@
-"""Shared fixtures: fast-to-simulate devices and sessions."""
+"""Shared fixtures: fast-to-simulate devices and sessions, and the
+whole-tree analyses computed once per test session."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import (analyze_taint_tree, lint_tree, load_policy,
+                            load_waivers, verify_shipped_profiles)
 from repro.core import build_session
 from repro.mcu import Device, DeviceConfig, ROAM_HARDENED
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGS`` in a fresh interpreter, as CI runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args], cwd=REPO,
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
 
 
 def tiny_config(**overrides) -> DeviceConfig:
@@ -40,3 +57,28 @@ def session_factory():
         return build_session(**kwargs)
 
     return factory
+
+
+# Whole-tree analyses are the slowest deterministic computations in the
+# suite (the taint fixpoint alone takes seconds), so each is computed
+# once per session with the checked-in policy/waivers and shared by
+# every test that asserts over it.  Determinism gates compare these
+# against a second, freshly built copy.
+
+@pytest.fixture(scope="session")
+def repo_taint():
+    """Key-confidentiality analysis of the repository, checked-in policy."""
+    return analyze_taint_tree(
+        REPO, policy=load_policy(REPO / "taint-policy.json"))
+
+
+@pytest.fixture(scope="session")
+def repo_lint():
+    """Lint of the repository with the checked-in waivers."""
+    return lint_tree(REPO, waivers=load_waivers(REPO / "lint-waivers.json"))
+
+
+@pytest.fixture(scope="session")
+def shipped_profiles():
+    """Static verification of the four shipped profiles (hw64 and sw)."""
+    return verify_shipped_profiles(clock_kinds=("hw64", "sw"))

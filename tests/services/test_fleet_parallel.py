@@ -11,7 +11,7 @@ The hypothesis suite drives the in-process shard primitive
 (``member_indices`` + ``fold_outcomes``) so randomized cases stay fast;
 the process-pool path itself is covered by the
 :class:`~repro.perf.fleet.FleetEngine` tests below and by
-``scripts/fleet_smoke.py``.
+``tests/gates/test_fleet.py``.
 """
 
 import json

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import build_session
 from repro.core.messages import AttestationRequest
+from repro.core.resilience import RetryPolicy
 from repro.errors import ConfigurationError
 from repro.net.channel import Verdict
 from repro.services.monitor import (AttestationMonitor, MonitorEvent,
@@ -19,8 +20,9 @@ def monitored_session(adversary=None, seed="monitor"):
 
 
 def quick_policy(**overrides):
-    defaults = dict(interval_seconds=5.0, retry_delay_seconds=3.0,
-                    max_retries=1, failure_threshold=2)
+    defaults = dict(interval_seconds=5.0, failure_threshold=2,
+                    retry=RetryPolicy(attempt_timeout_seconds=3.0,
+                                      max_retries=1))
     defaults.update(overrides)
     return MonitorPolicy(**defaults)
 

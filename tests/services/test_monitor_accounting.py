@@ -1,29 +1,19 @@
-"""Monitor accounting regressions: rounds vs attempts, budgets, DEP001.
+"""Monitor accounting regressions: rounds vs attempts, budgets.
 
-Three bugs are pinned here:
+Two bugs are pinned here:
 
 * ``rounds_run`` used to advance once *per attempt*, so a lossy channel
   inflated it and skewed every per-round average derived from it.  It
   now counts logical rounds; ``attempts_run`` carries attempts.
-* ``MonitorPolicy.__post_init__`` used to validate the deprecated
-  fixed-cadence knobs even when an explicit ``retry=`` policy was
-  given, rejecting configurations over fields that cannot take effect.
-  It now skips that validation and emits a ``DeprecationWarning``
-  (DEP001) when the ignored knobs carry non-default values.
 * A round's final attempt used to wait its full per-attempt deadline
   even when the total time budget had almost run out, overshooting
   ``total_budget_seconds``.  The attempt deadline is now clamped to
   the remaining budget.
 """
 
-import warnings
-
-import pytest
-
 from repro.core import build_session
 from repro.core.messages import AttestationRequest
 from repro.core.resilience import RetryPolicy
-from repro.errors import ConfigurationError
 from repro.net.channel import Verdict
 from repro.services.monitor import AttestationMonitor, MonitorPolicy
 from tests.conftest import tiny_config
@@ -94,34 +84,6 @@ class TestRoundsVsAttempts:
         assert not monitor.run_round()
         assert monitor.rounds_run == 1
         assert monitor.attempts_run == 3
-
-
-class TestDeprecatedKnobsWithExplicitRetry:
-    def test_ignored_knobs_no_longer_validated(self):
-        """retry_delay_seconds=0 with an explicit retry= used to raise
-        ConfigurationError, even though the knob is never read."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="DEP001"):
-                MonitorPolicy(retry_delay_seconds=0.0,
-                              retry=RetryPolicy())
-
-    def test_deprecation_signal_carries_dep001(self):
-        with pytest.warns(DeprecationWarning, match="ignored when "
-                                                    "retry= is given"):
-            policy = MonitorPolicy(max_retries=9, retry=RetryPolicy())
-        assert policy.effective_retry().max_retries == RetryPolicy().max_retries
-
-    def test_default_knobs_stay_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            MonitorPolicy(retry=RetryPolicy(max_retries=5))
-
-    def test_live_knobs_still_validated_without_retry(self):
-        with pytest.raises(ConfigurationError):
-            MonitorPolicy(retry_delay_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            MonitorPolicy(max_retries=-1)
 
 
 class TestRoundBudgetClamp:

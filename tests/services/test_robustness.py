@@ -86,8 +86,10 @@ class TestMonitorOverLossyChannel:
         monitor = AttestationMonitor(
             session,
             policy=MonitorPolicy(interval_seconds=10.0,
-                                 retry_delay_seconds=0.001,
-                                 max_retries=1, failure_threshold=99))
+                                 failure_threshold=99,
+                                 retry=RetryPolicy(
+                                     attempt_timeout_seconds=0.001,
+                                     max_retries=1)))
         monitor.run(rounds=3)
         kinds = [e.kind for e in monitor.events]
         # Round 1 has no measured round trip yet and fails its tight
@@ -96,17 +98,17 @@ class TestMonitorOverLossyChannel:
         assert kinds[-2:] == ["ok", "ok"]
         assert session.verifier_node.last_round_seconds is not None
 
-    def test_legacy_policy_fields_still_work(self):
-        policy = MonitorPolicy(retry_delay_seconds=3.0, max_retries=4)
-        retry = policy.effective_retry()
-        assert retry.attempt_timeout_seconds == 3.0
-        assert retry.max_retries == 4
-        assert retry.base_backoff_seconds == 0.0
+    def test_default_retry_is_the_fixed_cadence(self):
+        """The default policy keeps the monitor's historical cadence: a
+        5 s deadline, two retries, no backoff and no budget."""
+        assert MonitorPolicy().retry == RetryPolicy(
+            attempt_timeout_seconds=5.0, max_retries=2,
+            base_backoff_seconds=0.0, total_budget_seconds=None)
 
     def test_explicit_retry_policy_wins(self):
         custom = RetryPolicy(attempt_timeout_seconds=9.0, max_retries=1)
         policy = MonitorPolicy(retry=custom)
-        assert policy.effective_retry() is custom
+        assert policy.retry is custom
 
 
 class TestSweepReportSplit:
@@ -132,11 +134,6 @@ class TestSweepReportSplit:
         report = fleet.sweep()
         assert report.untrusted == ["device-001"]
         assert report.no_response == report.refused == []
-
-    def test_deprecated_unresponsive_alias(self):
-        report = SweepReport(no_response=["a"], refused=["b"])
-        assert report.unresponsive == ["a", "b"]
-        assert not report.healthy
 
     def test_healthy_requires_all_categories_clean(self):
         assert SweepReport(attempted=1, trusted=1).healthy

@@ -10,11 +10,13 @@ digest-tree leaf addressing, replay bisection) holds its own edges.
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.messages import AttestationRequest
 from repro.errors import SnapshotError
 from repro.incremental import DEFAULT_CHUNK_SIZE, DigestTree
@@ -274,6 +276,40 @@ class TestDeltaChain:
         save_document(chain[1], tmp_path / "orphan.json")
         with pytest.raises(SnapshotError, match="parent_path"):
             load_chain(tmp_path / "orphan.json")
+
+    @pytest.mark.parametrize("case, entry", [
+        (case, entry)
+        for case in ("truncated", "not-utf8", "int-parent", "list-parent")
+        for entry in ("load_document", "load_chain", "cli")
+        # load_document reads one file; it never follows parent_path.
+        if not (entry == "load_document" and case.endswith("parent"))])
+    def test_unreadable_file_raises_snapshot_error(self, tmp_path, capsys,
+                                                   case, entry):
+        """A file that is not JSON, or a delta whose parent_path is not
+        a string, is refused with a ``SnapshotError`` naming the path
+        (``repro snapshot restore``: ``error: ...``, exit 1) instead of
+        a JSONDecodeError/UnicodeDecodeError/TypeError traceback."""
+        path = tmp_path / "bad.json"
+        if case == "truncated":
+            path.write_text("{")
+        elif case == "not-utf8":
+            path.write_bytes(b"\xff\xfe")
+        else:
+            swarm = build_swarm()
+            swarm.sweep()
+            chain, _ = capture_chain(swarm, 1)
+            chain[1]["meta"] = {"parent_path": 5 if case == "int-parent"
+                                else ["root.json"]}
+            save_document(chain[1], path)
+        if entry == "cli":
+            assert main(["snapshot", "restore", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err
+        else:
+            loader = load_document if entry == "load_document" \
+                else load_chain
+            with pytest.raises(SnapshotError, match=re.escape(str(path))):
+                loader(path)
 
 
 def log_records(document):

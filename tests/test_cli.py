@@ -152,23 +152,20 @@ class TestCommands:
             json.loads(registry.read_text())) == []
 
 
-class TestMetricsSmokeScript:
-    def test_smoke_script_passes(self, tmp_path):
-        """The CI smoke script: run `repro metrics` on the quickstart
-        scenario and validate both exports against the schemas."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[1]
-        script = repo / "scripts" / "metrics_smoke.py"
-        env_path = str(repo / "src")
-        proc = subprocess.run(
-            [sys.executable, str(script), "--ram-kb", "8",
-             "--keep", str(tmp_path)],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"})
-        assert proc.returncode == 0, proc.stderr
-        assert "metrics-smoke: OK" in proc.stderr
-        assert (tmp_path / "trace.jsonl").is_file()
-        assert (tmp_path / "registry.json").is_file()
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv", [
+        ["snapshot", "save", "--size", "0", "--out", "unused.json"],
+        ["attest", "--ram-kb", "-1"],
+        ["fleet-bench", "--size", "0"],
+        ["flood", "--rate", "-5"],
+    ], ids=["snapshot-save", "attest", "fleet-bench", "flood"])
+    def test_bad_value_prints_error_not_traceback(self, argv, capsys,
+                                                  tmp_path, monkeypatch):
+        """Typed library errors from bad CLI values end as one
+        ``error: ...`` line and exit 1."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "unused.json").exists()
