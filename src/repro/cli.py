@@ -10,6 +10,8 @@ Usage::
     python -m repro flood [--rate R] [--duration S]
     python -m repro attest [--ram-kb N] [--scheme S] [--policy P]
     python -m repro metrics [--rounds N] [--trace-out F] [--registry-out F]
+    python -m repro modelcheck [--requests N]  # freshness policies
+    python -m repro swatt [--trials N] [--iterations N]   # Section 2
     python -m repro verify-profile [--profile P] [--clock C] [--json]
     python -m repro lint [paths ...] [--json] [--waivers F] [--allow-stale]
     python -m repro taint [--json] [--policy F] [--allow-stale] [--canary]
@@ -25,6 +27,7 @@ Usage::
     python -m repro snapshot compact F --out OUT
     python -m repro snapshot bisect F [F ...] --match KEY=VALUE ...
     python -m repro snapshot-bench [--size N] [--workers W] [--json]
+    python -m repro report [--results-dir D] [--output F]  # results
 
 Each subcommand prints the same tables the benchmark harness writes to
 ``benchmarks/results/``; the CLI exists so a downstream user can poke at
@@ -38,6 +41,7 @@ import sys
 
 from .core.analysis import render_table
 from .crypto.costmodel import CryptoCostModel
+from .errors import ConfigurationError, ReproError
 
 __all__ = ["main"]
 
@@ -565,7 +569,6 @@ def _cmd_incremental_bench(args) -> int:
     report = incremental.build_report(fleet_size=args.size,
                                       ram_kb=args.ram_kb,
                                       sweeps=args.sweeps,
-                                      chunk_size=args.chunk_size,
                                       **kwargs)
     errors = validate_incremental_report(report)
     if errors:
@@ -616,10 +619,9 @@ def _restore_from_chain(documents: list, spec: dict):
     """Rebuild the spec'd swarm and restore the chain's tip state."""
     from .snapshot import build_swarm_from_spec, materialize_chain
 
-    document = (documents[0] if len(documents) == 1
-                else materialize_chain(documents))
     swarm = build_swarm_from_spec(spec)
-    swarm.restore(document)
+    swarm.restore(documents[0] if len(documents) == 1
+                  else materialize_chain(documents))
     return swarm
 
 
@@ -667,11 +669,11 @@ def _cmd_snapshot_save(args) -> int:
             raise SnapshotError(
                 f"{args.parent} has no embedded rebuild spec; it was "
                 f"not written by 'repro snapshot save'")
-        if not spec.get("incremental"):
+        swarm = _restore_from_chain(chain, spec)
+        if not swarm.incremental:
             raise SnapshotError(
                 "delta capture needs digest trees: re-save the parent "
                 "with 'repro snapshot save --incremental'")
-        swarm = _restore_from_chain(chain, spec)
         parent_doc = chain[-1]
     else:
         spec = swarm_spec(size=args.size, profile=args.profile,
@@ -693,8 +695,7 @@ def _cmd_snapshot_save(args) -> int:
         document["meta"] = {"spec": spec}
     save_document(document, args.out)
     blobs = document["blobs"]
-    flavour = "delta blob(s)" if parent_doc is not None \
-        else "unique memory image(s)"
+    flavour = "delta blob(s)" if parent_doc is not None else "blob(s)"
     print(f"wrote {args.out}: {len(swarm)} member(s), "
           f"{swarm.sweeps_run} sweep(s), {len(blobs)} {flavour}",
           file=sys.stderr)
@@ -792,7 +793,7 @@ def _cmd_snapshot_compact(args) -> int:
     compacted = compact_chain(documents)
     save_document(compacted, args.out)
     print(f"wrote {args.out}: {len(documents)} chain document(s) folded, "
-          f"{len(compacted['blobs'])} unique memory image(s)",
+          f"{len(compacted['blobs'])} blob(s)",
           file=sys.stderr)
     return 0
 
@@ -800,8 +801,6 @@ def _cmd_snapshot_compact(args) -> int:
 def _match_predicate(pairs: list):
     """Build a trace-record predicate from ``KEY=VALUE`` args (every
     pair must match; values compare against ``str(record[key])``)."""
-    from .errors import ConfigurationError
-
     matches = []
     for pair in pairs:
         key, sep, value = pair.partition("=")
@@ -850,8 +849,7 @@ def _cmd_snapshot_bench(args) -> int:
     report = perf_snapshot.build_report(fleet_size=args.size,
                                         ram_kb=args.ram_kb,
                                         rounds=args.rounds,
-                                        workers=args.workers,
-                                        chunk_size=args.chunk_size)
+                                        workers=args.workers)
     errors = validate_snapshot_report(report)
     if errors:
         for error in errors:
@@ -1032,6 +1030,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _AtLeast(argparse.Action):
+    """Store an option value, refusing one below ``minimum`` with a
+    typed error (one ``error:`` line and exit 1, like every other bad
+    value)."""
+
+    def __init__(self, option_strings, dest, minimum=0, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.minimum = minimum
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not value >= self.minimum:
+            raise ConfigurationError(f"{option_string} must be >= "
+                                     f"{self.minimum}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1065,7 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flood", help="forged-request DoS flood")
     p.add_argument("--rate", type=float, default=0.5)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=float, default=60.0,
+                   action=_AtLeast)
     p.add_argument("--ram-kb", type=int, default=16)
     p.set_defaults(fn=_cmd_flood)
 
@@ -1083,7 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics",
                        help="telemetry export + registry/stats cross-check")
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=int, default=2,
+                   action=_AtLeast)
     p.add_argument("--ram-kb", type=int, default=64)
     p.add_argument("--scheme", default="speck-64/128-cbc-mac",
                    choices=["none", "speck-64/128-cbc-mac",
@@ -1174,6 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ram-kb", type=int, default=256,
                    help="per-member RAM in KB")
     p.add_argument("--sweeps", type=int, default=2,
+                   action=_AtLeast, minimum=1,
                    help="timed sweeps per path")
     p.add_argument("--workers", type=int, default=None,
                    help="shard workers (default: REPRO_FLEET_WORKERS "
@@ -1191,13 +1208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ram-kb", type=int, default=256,
                    help="per-member RAM in KB (flash sized to match)")
     p.add_argument("--sweeps", type=int, default=2,
+                   action=_AtLeast, minimum=1,
                    help="timed update+sweep rounds per path")
     p.add_argument("--dirty", type=float, action="append", default=None,
                    metavar="FRACTION",
                    help="dirty fraction to measure (repeatable; default "
                         "0.02 0.05 0.10 0.25 0.50)")
-    p.add_argument("--chunk-size", type=int, default=4096,
-                   help="digest-tree leaf chunk size in bytes")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable incremental report")
     p.add_argument("--out", default=None,
@@ -1258,6 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--sweeps", type=int, default=2,
+                   action=_AtLeast,
                    help="sweeps to run before checkpointing")
     p.add_argument("--profile", default="roam-hardened")
     p.add_argument("--scheme", default="speck-64/128-cbc-mac")
@@ -1287,6 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume a checkpoint, run more sweeps")
     p.add_argument("file", help="checkpoint file from 'snapshot save'")
     p.add_argument("--sweeps", type=int, default=1,
+                   action=_AtLeast,
                    help="sweeps to run after restoring")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable state instead of tables")
@@ -1329,9 +1347,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "an OTA campaign")
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--ram-kb", type=int, default=64)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=int, default=2,
+                   action=_AtLeast, minimum=1)
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--out", default=None,
                    help="write the schema-validated JSON report here")
     p.add_argument("--json", action="store_true",
@@ -1341,10 +1359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .errors import ReproError
-
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,14 +18,14 @@ from .hmac import (HmacSha1, clear_hmac_midstate_cache,
 from .kdf import derive_device_key, hkdf, hkdf_expand, hkdf_extract
 from .modes import CBC, cbc_mac, pkcs7_pad, pkcs7_unpad
 from .rng import DeterministicRng
-from .sha1 import SHA1, compress_blocks, sha1
+from .sha1 import SHA1, sha1
 from .speck import Speck64_128
 
 __all__ = [
     "AES128", "CBC", "CryptoCostModel", "DeterministicRng", "EccPoint",
     "EcdsaKeyPair", "HmacSha1", "PrimitiveCosts", "REQUEST_MESSAGE_BITS",
     "SECP160R1", "SHA1", "SISKIYOU_PEAK_COSTS_MS", "Speck64_128", "cbc_mac",
-    "clear_hmac_midstate_cache", "compress_blocks", "constant_time_compare",
+    "clear_hmac_midstate_cache", "constant_time_compare",
     "derive_device_key", "ecdsa_sign", "ecdsa_verify", "generate_keypair",
     "hkdf", "hkdf_expand", "hkdf_extract", "hmac_midstate_cache_info",
     "hmac_sha1", "pkcs7_pad", "pkcs7_unpad", "sha1",

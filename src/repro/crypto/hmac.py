@@ -16,7 +16,7 @@ Host-side midstate cache
 Every HMAC under key ``K`` starts by absorbing the same two 64-byte
 blocks, ``K ^ ipad`` and ``K ^ opad``.  Fleet and flood scenarios build
 thousands of :class:`HmacSha1` objects per key, so under the fast-path
-engines (:mod:`repro.fastpath`) the SHA-1 states *after* those pad
+engine (:mod:`repro.fastpath`) the SHA-1 states *after* those pad
 blocks are cached per key and cloned into each new object instead of
 being recomputed.  The cache is LRU-bounded so a fleet of many distinct
 device keys cannot grow it without limit, and it is host-side only: the

@@ -8,22 +8,18 @@ digests against ``hashlib.sha1``.
 
 Because the simulator re-executes the 512 KB measurement for every
 attestation in every flood / fleet / ablation scenario, the *host* cost
-of this module dominates experiment wall-clock.  Three execution engines
-are therefore provided (selected by :mod:`repro.fastpath`; all three are
+of this module dominates experiment wall-clock.  Two execution engines
+are therefore provided (selected by :mod:`repro.fastpath`; both are
 digest- and accounting-identical):
 
 ``naive``
-    The reference: one :func:`_compress` call per 64-byte block, with
-    the seed's copying ``update``.
-``pure``
-    :func:`compress_blocks` -- an unrolled batch compression core
-    (local-variable state, message schedule via ``struct.unpack_from``)
-    fed zero-copy from ``memoryview`` input; only the unaligned tail is
-    buffered.
+    The reference: one from-scratch :func:`_compress` call per 64-byte
+    block, with the seed's copying ``update``.
 ``accel``
     Bulk compression delegated to ``hashlib.sha1`` (the same FIPS 180-4
-    function at C speed).  The from-scratch core remains the reference
-    implementation the accelerated digests are tested against.
+    function at C speed), fed zero-copy from ``memoryview`` input.  The
+    from-scratch core remains the reference implementation the
+    accelerated digests are tested against.
 
 The incremental API mirrors ``hashlib``: :meth:`SHA1.update`,
 :meth:`SHA1.digest`, :meth:`SHA1.hexdigest`, :meth:`SHA1.copy`.  The
@@ -41,7 +37,7 @@ import struct
 
 from .. import fastpath
 
-__all__ = ["SHA1", "sha1", "compress_blocks", "BLOCK_SIZE", "DIGEST_SIZE"]
+__all__ = ["SHA1", "sha1", "BLOCK_SIZE", "DIGEST_SIZE"]
 
 BLOCK_SIZE = 64
 DIGEST_SIZE = 20
@@ -64,9 +60,8 @@ def _compress(state: tuple[int, int, int, int, int],
               block: bytes) -> tuple[int, int, int, int, int]:
     """Apply the SHA-1 compression function to one 64-byte ``block``.
 
-    This is the reference implementation (straight off the FIPS 180-4
-    pseudocode); :func:`compress_blocks` is the optimized batch core
-    validated against it.
+    This is the reference implementation, straight off the FIPS 180-4
+    pseudocode; the ``naive`` engine runs it for every block.
     """
     w = list(struct.unpack(">16I", block))
     for t in range(16, 80):
@@ -100,79 +95,6 @@ def _compress(state: tuple[int, int, int, int, int],
         (state[3] + d) & _MASK32,
         (state[4] + e) & _MASK32,
     )
-
-
-def _build_pure_core():
-    """Generate the unrolled batch compression core.
-
-    The generated function keeps the whole working state in local
-    variables, unpacks the message schedule with one ``struct`` call per
-    block, and unrolls all 80 rounds with the role-rotation folded into
-    variable renaming (no a/b/c/d/e shuffle assignments).  Code
-    generation keeps the source of truth at round granularity instead of
-    320 hand-maintained lines.
-    """
-    lines = []
-    emit = lines.append
-    emit("def _compress_blocks_pure(state, buf, offset, nblocks):")
-    emit("    h0, h1, h2, h3, h4 = state")
-    emit("    for _ in range(nblocks):")
-    emit("        (w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11,"
-         " w12, w13, w14, w15) = _unpack16(buf, offset)")
-    emit("        offset += 64")
-    for t in range(16, 80):
-        emit(f"        _x = w{t - 3} ^ w{t - 8} ^ w{t - 14} ^ w{t - 16}")
-        emit(f"        w{t} = ((_x << 1) | (_x >> 31)) & 0xFFFFFFFF")
-    emit("        a, b, c, d, e = h0, h1, h2, h3, h4")
-    names = ["a", "b", "c", "d", "e"]
-    for t in range(80):
-        va, vb, vc, vd, ve = names
-        if t < 20:
-            fk = f"(({vb} & {vc}) | (~{vb} & {vd})) + 0x5A827999"
-        elif t < 40:
-            fk = f"({vb} ^ {vc} ^ {vd}) + 0x6ED9EBA1"
-        elif t < 60:
-            fk = (f"(({vb} & {vc}) | ({vb} & {vd}) | ({vc} & {vd}))"
-                  f" + 0x8F1BBCDC")
-        else:
-            fk = f"({vb} ^ {vc} ^ {vd}) + 0xCA62C1D6"
-        emit(f"        {ve} = ({ve} + (({va} << 5) | ({va} >> 27))"
-             f" + ({fk}) + w{t}) & 0xFFFFFFFF")
-        emit(f"        {vb} = (({vb} << 30) | ({vb} >> 2)) & 0xFFFFFFFF")
-        # Role rotation: next round's (a, b, c, d, e) are this round's
-        # (temp, a, rotl30(b), c, d); after 80 rounds the names line up
-        # with a/b/c/d/e again (80 % 5 == 0).
-        names = [ve, va, vb, vc, vd]
-    emit("        h0 = (h0 + a) & 0xFFFFFFFF")
-    emit("        h1 = (h1 + b) & 0xFFFFFFFF")
-    emit("        h2 = (h2 + c) & 0xFFFFFFFF")
-    emit("        h3 = (h3 + d) & 0xFFFFFFFF")
-    emit("        h4 = (h4 + e) & 0xFFFFFFFF")
-    emit("    return (h0, h1, h2, h3, h4)")
-    namespace = {"_unpack16": struct.Struct(">16I").unpack_from}
-    exec("\n".join(lines), namespace)
-    return namespace["_compress_blocks_pure"]
-
-
-_compress_blocks_pure = _build_pure_core()
-
-
-def compress_blocks(state: tuple[int, int, int, int, int],
-                    buf, offset: int, nblocks: int
-                    ) -> tuple[int, int, int, int, int]:
-    """Compress ``nblocks`` consecutive 64-byte blocks of ``buf``.
-
-    ``buf`` may be any bytes-like object (including a ``memoryview``
-    straight onto device memory -- no copies are taken).  Under the
-    ``naive`` engine this degrades to one reference :func:`_compress`
-    call per block; otherwise the unrolled batch core runs.
-    """
-    if fastpath.engine() == "naive":
-        for _ in range(nblocks):
-            state = _compress(state, bytes(buf[offset:offset + BLOCK_SIZE]))
-            offset += BLOCK_SIZE
-        return state
-    return _compress_blocks_pure(state, buf, offset, nblocks)
 
 
 def _as_byte_view(data) -> memoryview:
@@ -216,11 +138,8 @@ class SHA1:
             # the running count is pure arithmetic over absorbed length.
             self.blocks_processed = self._length // BLOCK_SIZE
             return
-        if self._engine == "pure":
-            self._update_pure(_as_byte_view(data))
-            return
         # naive: the seed implementation, kept verbatim as the baseline
-        # the fast engines are benchmarked and equivalence-tested against.
+        # the accel engine is benchmarked and equivalence-tested against.
         data = bytes(data)
         self._length += len(data)
         buf = self._buffer + data
@@ -230,30 +149,6 @@ class SHA1:
             self.blocks_processed += 1
             offset += BLOCK_SIZE
         self._buffer = buf[offset:]
-
-    def _update_pure(self, view: memoryview) -> None:
-        """Zero-copy absorb: batch-compress aligned input in place,
-        buffering only the unaligned tail."""
-        length = view.nbytes
-        self._length += length
-        position = 0
-        if self._buffer:
-            take = min(BLOCK_SIZE - len(self._buffer), length)
-            self._buffer += bytes(view[:take])
-            position = take
-            if len(self._buffer) == BLOCK_SIZE:
-                self._state = _compress_blocks_pure(
-                    self._state, self._buffer, 0, 1)
-                self.blocks_processed += 1
-                self._buffer = b""
-        nblocks = (length - position) // BLOCK_SIZE
-        if nblocks:
-            self._state = _compress_blocks_pure(
-                self._state, view, position, nblocks)
-            self.blocks_processed += nblocks
-            position += nblocks * BLOCK_SIZE
-        if position < length:
-            self._buffer += bytes(view[position:])
 
     def copy(self) -> "SHA1":
         """Return an independent clone of the current hash state."""
@@ -270,7 +165,7 @@ class SHA1:
         """Return the 20-byte digest of all data absorbed so far."""
         if self._engine == "accel":
             # hashlib finalises a copy internally; the object stays
-            # usable for further updates, same as the pure paths below.
+            # usable for further updates, same as the naive path below.
             return self._hl.digest()
         # Pad a copy so the object remains usable for further updates.
         state = self._state
@@ -278,12 +173,8 @@ class SHA1:
         padded = self._buffer + b"\x80"
         pad_len = (56 - len(padded)) % BLOCK_SIZE
         padded += b"\x00" * pad_len + struct.pack(">Q", bit_length)
-        if self._engine == "pure":
-            state = _compress_blocks_pure(state, padded, 0,
-                                          len(padded) // BLOCK_SIZE)
-        else:
-            for offset in range(0, len(padded), BLOCK_SIZE):
-                state = _compress(state, padded[offset:offset + BLOCK_SIZE])
+        for offset in range(0, len(padded), BLOCK_SIZE):
+            state = _compress(state, padded[offset:offset + BLOCK_SIZE])
         return struct.pack(">5I", *state)
 
     def hexdigest(self) -> str:

@@ -10,29 +10,25 @@ The simulator separates two clocks that must never mix:
   scenarios re-run the 512 KB HMAC thousands of times.
 
 This module selects how the *host* executes measurement-heavy work.
-Three engines exist, all producing bit-identical digests and identical
+Two engines exist, producing bit-identical digests and identical
 simulated accounting (``blocks_processed``, consumed cycles, telemetry):
 
 ``naive``
-    The seed implementation: one Python-level compression call per
+    The seed implementation: one from-scratch compression call per
     64-byte block, per-chunk copied bus reads.  Kept as the reference
-    the fast paths are continuously checked against, and as the
-    baseline ``benchmarks/bench_wallclock.py`` reports speedups over.
-``pure``
-    Optimized pure Python: the unrolled batch compression core
-    (:func:`repro.crypto.sha1.compress_blocks`), zero-copy
-    ``memoryview`` streaming, HMAC pad-midstate caching, bulk memory
-    walks.
+    the fast path is continuously checked against, and as the baseline
+    ``benchmarks/bench_wallclock.py`` reports speedups over.
 ``accel``
-    Everything ``pure`` does, but bulk SHA-1 compression is delegated
-    to :mod:`hashlib` (same FIPS 180-4 function, C speed).  This is the
-    default: the from-scratch compression function remains the
-    reference implementation, exercised by the ``naive``/``pure``
-    engines and the cross-check tests.
+    The fast path and the default: bulk SHA-1 compression delegated to
+    :mod:`hashlib` (same FIPS 180-4 function, C speed), zero-copy
+    ``memoryview`` streaming, HMAC pad-midstate caching and bulk memory
+    walks.  The from-scratch compression function remains the
+    reference implementation, exercised by the ``naive`` engine and
+    the cross-check tests.
 
 Selection: the ``REPRO_FAST_PATH`` environment variable at import time
-(``0``/``off``/``naive``, ``1``/``pure``, ``2``/``on``/``accel``), or
-:func:`set_engine` / :func:`forced` at runtime.  See
+(``0``/``off``/``naive``, ``2``/``on``/``accel``; anything else selects
+``accel``), or :func:`set_engine` / :func:`forced` at runtime.  See
 ``docs/performance.md``.
 """
 
@@ -41,17 +37,15 @@ from __future__ import annotations
 import contextlib
 import os
 
-__all__ = ["ENGINES", "engine", "set_engine", "is_fast", "forced",
-           "incremental_enabled", "set_incremental", "forced_incremental"]
+__all__ = ["ENGINES", "engine", "set_engine", "is_fast", "forced"]
 
-ENGINES = ("naive", "pure", "accel")
+ENGINES = ("naive", "accel")
 
 _ENV_VAR = "REPRO_FAST_PATH"
 
 _ALIASES = {
     "0": "naive", "off": "naive", "false": "naive", "no": "naive",
     "naive": "naive",
-    "1": "pure", "pure": "pure",
     "2": "accel", "on": "accel", "true": "accel", "yes": "accel",
     "accel": "accel", "": "accel",
 }
@@ -87,7 +81,7 @@ def set_engine(name: str) -> str:
 
 
 def is_fast() -> bool:
-    """Whether any fast path (``pure`` or ``accel``) is active."""
+    """Whether the fast path (``accel``) is active."""
     return _engine != "naive"
 
 
@@ -100,48 +94,3 @@ def forced(name: str):
     finally:
         set_engine(previous)
 
-
-# -- incremental measurement toggle ------------------------------------------
-#
-# Orthogonal to the engine choice: whether devices with
-# ``enable_incremental()`` may use their digest trees as a
-# content-addressed second cache key (see ``repro.incremental``).  Like
-# the engine toggle this is a host-execution concern only -- digests and
-# simulated accounting are byte-identical either way -- and honours the
-# same kill-switch idiom: ``REPRO_INCREMENTAL=0`` disables the content
-# path globally, forcing every cache miss down the full walk.
-
-_INCR_ENV_VAR = "REPRO_INCREMENTAL"
-
-_INCR_FALSE = {"0", "off", "false", "no"}
-
-
-def _incremental_from_env() -> bool:
-    raw = os.environ.get(_INCR_ENV_VAR, "1").strip().lower()
-    return raw not in _INCR_FALSE
-
-
-_incremental = _incremental_from_env()
-
-
-def incremental_enabled() -> bool:
-    """Whether the content-addressed incremental path may be used."""
-    return _incremental
-
-
-def set_incremental(on: bool) -> bool:
-    """Enable/disable the incremental path; returns the previous state."""
-    global _incremental
-    previous = _incremental
-    _incremental = bool(on)
-    return previous
-
-
-@contextlib.contextmanager
-def forced_incremental(on: bool):
-    """Context manager pinning the incremental toggle for a block."""
-    previous = set_incremental(on)
-    try:
-        yield
-    finally:
-        set_incremental(previous)

@@ -69,7 +69,10 @@ class DigestTree:
     chunk_size, arity:
         Tree geometry.  Geometry is part of any cache key built from
         the root: equal roots imply equal contents only under equal
-        geometry.
+        geometry.  Device trees always use :data:`DEFAULT_CHUNK_SIZE`
+        and :data:`DEFAULT_ARITY`
+        (:meth:`~repro.mcu.device.Device.enable_incremental` takes no
+        geometry), so every tree of a fleet shares one.
 
     The tree is lazy: until the first :meth:`root` call nothing is
     hashed and writes are free (everything is dirty anyway).  After a
@@ -231,9 +234,11 @@ class DigestTree:
         """Refresh dirty state and return a copy of the leaf-digest row.
 
         Leaf ``i`` is the SHA-1 of window chunk ``i`` -- its *content
-        address* -- which is what delta snapshots use to decide which
-        chunks changed since a parent checkpoint and to key the changed
-        chunk payloads in the blob store (see ``repro.snapshot.delta``).
+        address*.  Every snapshot of a tree-bearing region records this
+        row as the region's chunk-digest index; delta capture diffs it
+        against the parent's recorded row to find the changed chunks,
+        and keys their payloads by it in the blob store (see
+        ``repro.snapshot.delta``).
         Same cost contract as :meth:`root`: O(window) on the first call,
         O(dirty + log N) afterwards.  Not counted as a :attr:`refreshes`
         tick -- snapshot capture is not a measurement.

@@ -656,8 +656,7 @@ class Device:
 
     # -- incremental (dirty-region) measurement ---------------------------
 
-    def enable_incremental(self, *, chunk_size: int | None = None,
-                           arity: int | None = None) -> None:
+    def enable_incremental(self) -> None:
         """Attach a :class:`repro.incremental.DigestTree` per attested
         span, enabling the content-addressed second cache key.
 
@@ -668,25 +667,13 @@ class Device:
         host-side accelerator: digests, simulated cycles, energy and
         telemetry are byte-identical with or without it.
         """
-        kwargs = {}
-        if chunk_size is not None:
-            kwargs["chunk_size"] = chunk_size
-        if arity is not None:
-            kwargs["arity"] = arity
         for start, end in self.attested_spans():
             if end <= start:
                 continue
             region = self.memory.find(start)
-            region.attach_digest_tree(DigestTree(
-                start - region.start, end - start, **kwargs))
+            region.attach_digest_tree(DigestTree(start - region.start,
+                                                 end - start))
         self._incremental = True
-
-    def disable_incremental(self) -> None:
-        """Detach all digest trees; the device reverts to history-keyed
-        caching only."""
-        for region in self.memory.writable_regions():
-            region.detach_digest_tree()
-        self._incremental = False
 
     def _content_digest_key(self, spans: list[tuple[int, int]]) -> tuple | None:
         """Content-addressed second cache key from digest-tree roots.
@@ -758,7 +745,7 @@ class Device:
             if cached is not None:
                 self._replay_digest_accounting(context, spans)
                 return cached
-            if self._incremental and fastpath.incremental_enabled():
+            if self._incremental:
                 content_key = self._content_digest_key(spans)
                 if content_key is not None:
                     cached = self._state_cache.lookup(content_key)

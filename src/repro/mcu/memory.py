@@ -189,9 +189,6 @@ class MemoryRegion:
                 f"(size {self.size:#x})")
         self.digest_tree = tree
 
-    def detach_digest_tree(self) -> None:
-        self.digest_tree = None
-
     # -- raw (MPU-bypassing) access: used by hardware and by the simulator
     #    harness to set up initial contents -------------------------------
 

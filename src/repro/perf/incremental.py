@@ -100,10 +100,11 @@ def _attested_windows(device) -> list[tuple[object, int, int]]:
     return windows
 
 
-def apply_update(swarm: Swarm, round_index: int, dirty_fraction: float, *,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+def apply_update(swarm: Swarm, round_index: int,
+                 dirty_fraction: float) -> int:
     """Deliver one fleet-wide OTA-style update round; returns the bytes
-    rewritten per member.
+    rewritten per member.  Writes are whole digest-tree leaf chunks
+    (:data:`~repro.incremental.DEFAULT_CHUNK_SIZE`).
 
     Content is derived from the round index alone, so after the round
     every member's attested memory is byte-identical again; each member
@@ -119,6 +120,7 @@ def apply_update(swarm: Swarm, round_index: int, dirty_fraction: float, *,
     """
     if not 0.0 < dirty_fraction <= 1.0:
         raise ConfigurationError("dirty_fraction must be in (0, 1]")
+    chunk_size = DEFAULT_CHUNK_SIZE
     payloads: dict[tuple[str, int], bytes] = {}
     per_member = 0
     for member in swarm.members:
@@ -276,8 +278,7 @@ def equivalence_check(*, size: int = 6, sweeps: int = 3,
 
 
 def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
-                  sweeps: int = 2, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  arity: int = DEFAULT_ARITY) -> dict:
+                  sweeps: int = 2) -> dict:
     """Paired sweep timings at one dirty fraction.
 
     Both fleets get one untimed settling sweep (spin-up digests) and one
@@ -297,14 +298,13 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
                             incremental=(mode == "incremental"),
                             seed=f"incr-bench:{dirty_fraction}")
         swarm.sweep()                       # settle spin-up, untimed
-        apply_update(swarm, 0, dirty_fraction, chunk_size=chunk_size)
+        apply_update(swarm, 0, dirty_fraction)
         learn_update(swarm)
         swarm.sweep()                       # warm-up round, untimed
         elapsed = 0.0
         mode_reports = []
         for round_index in range(1, sweeps + 1):
-            apply_update(swarm, round_index, dirty_fraction,
-                         chunk_size=chunk_size)
+            apply_update(swarm, round_index, dirty_fraction)
             learn_update(swarm)             # verifier-side, untimed
             begin = time.perf_counter()
             mode_reports.append(swarm.sweep())
@@ -340,8 +340,6 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
 def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
                  sweeps: int = 2,
                  dirty_fractions: tuple = DEFAULT_DIRTY_FRACTIONS,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 arity: int = DEFAULT_ARITY,
                  gate_dirty_fraction: float = GATE_DIRTY_FRACTION,
                  gate_threshold: float = GATE_THRESHOLD,
                  equivalence_size: int = 6) -> dict:
@@ -351,9 +349,10 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
     equivalence-checked), the three-scenario :func:`equivalence_check`
     block, and the headline gate: the speedup at the largest measured
     fraction <= ``gate_dirty_fraction`` must be >= ``gate_threshold``.
+    ``chunk_size``/``arity`` record the geometry of every member tree
+    (:class:`~repro.incremental.DigestTree` defaults).
     """
-    points = [measure_point(fleet_size, ram_kb, fraction, sweeps=sweeps,
-                            chunk_size=chunk_size, arity=arity)
+    points = [measure_point(fleet_size, ram_kb, fraction, sweeps=sweeps)
               for fraction in dirty_fractions]
     eligible = [p for p in points
                 if p["dirty_fraction"] <= gate_dirty_fraction]
@@ -368,8 +367,8 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
         "ram_kb": ram_kb,
         "writable_kb": 2 * min(ram_kb, 1024),
         "sweeps": sweeps,
-        "chunk_size": chunk_size,
-        "arity": arity,
+        "chunk_size": DEFAULT_CHUNK_SIZE,
+        "arity": DEFAULT_ARITY,
         "host": host_info(),
         "points": points,
         "gate": {

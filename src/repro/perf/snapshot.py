@@ -93,10 +93,10 @@ def _bench_spec(fleet_size: int, ram_kb: int, *, observe: bool = False,
         seed=seed)
 
 
-def apply_unique_update(swarm, round_index: int, dirty_fraction: float, *,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+def apply_unique_update(swarm, round_index: int,
+                        dirty_fraction: float) -> int:
     """One update round of member-*unique* content; returns the bytes
-    rewritten per member.
+    rewritten per member, in whole digest-tree leaf chunks.
 
     Unlike :func:`repro.perf.incremental.apply_update`, the payload is
     derived from the member's global index as well as the round, so no
@@ -107,6 +107,7 @@ def apply_unique_update(swarm, round_index: int, dirty_fraction: float, *,
     """
     if not 0.0 < dirty_fraction <= 1.0:
         raise ConfigurationError("dirty_fraction must be in (0, 1]")
+    chunk_size = DEFAULT_CHUNK_SIZE
     per_member = 0
     for member in swarm.members:
         per_member = 0
@@ -138,36 +139,30 @@ def learn_unique_update(swarm) -> None:
 
 
 def _apply_round(swarm, round_index: int, dirty_fraction: float,
-                 chunk_size: int, shared: bool) -> None:
+                 shared: bool) -> None:
     if shared:
-        apply_update(swarm, round_index, dirty_fraction,
-                     chunk_size=chunk_size)
+        apply_update(swarm, round_index, dirty_fraction)
         learn_update(swarm)
     else:
-        apply_unique_update(swarm, round_index, dirty_fraction,
-                            chunk_size=chunk_size)
+        apply_unique_update(swarm, round_index, dirty_fraction)
         learn_unique_update(swarm)
 
 
 def _shard_update(round_index: int, dirty_fraction: float,
-                  chunk_size: int, shared: bool) -> None:
+                  shared: bool) -> None:
     """Run one update round on the resident shard swarm (member indices
     are global, so shard-local updates are byte-for-byte the updates a
     single in-process fleet would apply)."""
-    _apply_round(fleet_mod._SHARD, round_index, dirty_fraction,
-                 chunk_size, shared)
+    _apply_round(fleet_mod._SHARD, round_index, dirty_fraction, shared)
 
 
 def _update_engine(engine: FleetEngine, round_index: int,
-                   dirty_fraction: float, chunk_size: int,
-                   shared: bool) -> None:
+                   dirty_fraction: float, shared: bool) -> None:
     engine.start()
     if engine._swarm is not None:
-        _apply_round(engine._swarm, round_index, dirty_fraction,
-                     chunk_size, shared)
+        _apply_round(engine._swarm, round_index, dirty_fraction, shared)
     else:
-        engine._gather(_shard_update, round_index, dirty_fraction,
-                       chunk_size, shared)
+        engine._gather(_shard_update, round_index, dirty_fraction, shared)
 
 
 def _canonical(document: dict) -> str:
@@ -177,20 +172,16 @@ def _canonical(document: dict) -> str:
 
 
 def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
-                  shared: bool = True, rounds: int = 2, workers: int = 2,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> dict:
+                  shared: bool = True, rounds: int = 2,
+                  workers: int = 2) -> dict:
     """Paired full/delta checkpoint timings at one dirty fraction.
 
     One untimed settling sweep, one untimed warm-up round (trees build,
     first full measurement of the content lineage), then an untimed
-    full parent plus an untimed bootstrap delta -- the first delta
-    against a full parent pays a one-off O(full) re-chunking of the
-    parent's images to recover leaf digests; every later delta reads
-    the parent's stored chunk-digest index instead, which is the
-    steady state this point measures.  Each timed round updates,
-    sweeps, then captures the engine twice: a full snapshot and a
-    delta against the previous delta, both timed through canonical
-    JSON serialization.  Refuses to return numbers unless folding the
+    full parent plus an untimed first delta against it.  Each timed
+    round updates, sweeps, then captures the engine twice: a full
+    snapshot and a delta against the previous delta, both timed through
+    canonical JSON serialization.  Refuses to return numbers unless folding the
     whole chain reproduces the final full snapshot byte for byte.
     """
     flavour = "shared" if shared else "unique"
@@ -198,18 +189,17 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
                        seed=f"snapshot-bench:{dirty_fraction}:{flavour}")
     with FleetEngine(spec, workers=workers) as engine:
         engine.sweep()                      # settle spin-up, untimed
-        _update_engine(engine, 0, dirty_fraction, chunk_size, shared)
+        _update_engine(engine, 0, dirty_fraction, shared)
         engine.sweep()                      # warm-up round, untimed
         root = engine.snapshot()            # full parent, untimed
-        chain = [root, engine.snapshot(parent=root)]    # bootstrap delta
+        chain = [root, engine.snapshot(parent=root)]    # first delta
         full_seconds = 0.0
         delta_seconds = 0.0
         full_bytes = 0
         delta_bytes = 0
         last_full = None
         for round_index in range(1, rounds + 1):
-            _update_engine(engine, round_index, dirty_fraction,
-                           chunk_size, shared)
+            _update_engine(engine, round_index, dirty_fraction, shared)
             engine.sweep()
             begin = time.perf_counter()
             last_full = engine.snapshot()
@@ -241,8 +231,8 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
 
 
 def equivalence_check(*, size: int = 8, workers: int = 2, rounds: int = 3,
-                      ram_kb: int = 16, dirty_fraction: float = 0.25,
-                      chunk_size: int = DEFAULT_CHUNK_SIZE) -> dict:
+                      ram_kb: int = 16,
+                      dirty_fraction: float = 0.25) -> dict:
     """Prove a delta chain is a real checkpoint, not just a diff.
 
     Runs a telemetry-on sharded fleet through ``rounds`` update+sweep
@@ -259,8 +249,7 @@ def equivalence_check(*, size: int = 8, workers: int = 2, rounds: int = 3,
         engine.sweep()
         chain = [engine.snapshot()]
         for round_index in range(rounds):
-            _update_engine(engine, round_index, dirty_fraction,
-                           chunk_size, True)
+            _update_engine(engine, round_index, dirty_fraction, True)
             engine.sweep()
             chain.append(engine.snapshot(parent=chain[-1]))
         full = engine.snapshot()
@@ -286,7 +275,6 @@ def equivalence_check(*, size: int = 8, workers: int = 2, rounds: int = 3,
 def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
                  rounds: int = 2, workers: int = 2,
                  points: tuple = DEFAULT_POINTS,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  gate_dirty_fraction: float = GATE_DIRTY_FRACTION,
                  gate_speedup: float = GATE_SPEEDUP_THRESHOLD,
                  gate_bytes: float = GATE_BYTES_THRESHOLD,
@@ -301,8 +289,7 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
     and >= ``gate_bytes`` x bytes written.
     """
     measured = [measure_point(fleet_size, ram_kb, fraction, shared=shared,
-                              rounds=rounds, workers=workers,
-                              chunk_size=chunk_size)
+                              rounds=rounds, workers=workers)
                 for fraction, shared in points]
     eligible = [point for point in measured
                 if point["shared_content"]
@@ -312,15 +299,14 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
             f"no measured shared-content dirty fraction <= "
             f"{gate_dirty_fraction}")
     gate_point = max(eligible, key=lambda point: point["dirty_fraction"])
-    equivalence = equivalence_check(size=equivalence_size, workers=workers,
-                                    chunk_size=chunk_size)
+    equivalence = equivalence_check(size=equivalence_size, workers=workers)
     return {
         "schema": REPORT_SCHEMA_ID,
         "fleet_size": fleet_size,
         "ram_kb": ram_kb,
         "workers": workers,
         "rounds": rounds,
-        "chunk_size": chunk_size,
+        "chunk_size": DEFAULT_CHUNK_SIZE,
         "host": host_info(),
         "points": measured,
         "gate": {

@@ -10,7 +10,7 @@ each :mod:`repro.fastpath` engine, and packages the numbers as the
 ``benchmarks/bench_wallclock.py`` -- the perf trajectory future changes
 are judged against.
 
-Every report embeds an **equivalence block**: the fast engines must
+Every report embeds an **equivalence block**: the fast engine must
 produce byte-identical digests, response MACs, consumed cycles,
 :class:`~repro.core.prover.ProverStats` and telemetry registry dumps as
 the naive reference on a full protocol scenario.  A report whose
@@ -168,11 +168,11 @@ def _scenario_fingerprint(engine: str, ram_kb: int, rounds: int) -> dict:
 
 
 def equivalence_check(ram_kb: int = 16, rounds: int = 2,
-                      engines: tuple = ("pure", "accel")) -> dict:
-    """Prove the fast engines change no output and no simulated accounting.
+                      engines: tuple = ("accel",)) -> dict:
+    """Prove the fast engine changes no output and no simulated accounting.
 
-    Runs the same seeded protocol scenario under ``naive`` and each fast
-    engine and compares response MACs, digests, consumed cycles,
+    Runs the same seeded protocol scenario under ``naive`` and each
+    engine in ``engines`` and compares response MACs, digests, consumed cycles,
     ``ProverStats`` and the telemetry registry dump byte for byte.
     """
     baseline = _scenario_fingerprint("naive", ram_kb, rounds)

@@ -543,9 +543,21 @@ def service_spec(*, size: int, tenants: int = 4, backends: int = 4,
             "seed": seed}
 
 
+#: Field types of a :func:`service_spec`.
+_SERVICE_SPEC_FIELDS = {"size": int, "tenants": int, "backends": int,
+                        "duty_fraction": float, "burst_seconds": float,
+                        "profile": str, "auth_scheme": str, "policy": str,
+                        "ram_kb": int, "flash_kb": int, "app_kb": int,
+                        "seed": str}
+
+
 def build_service_from_spec(spec: dict) -> AttestationService:
-    """Deterministically rebuild the service a spec describes."""
+    """Deterministically rebuild the service a spec describes; a
+    malformed spec raises :class:`~repro.errors.SnapshotError` naming
+    the field."""
     from ..mcu.profiles import ALL_PROFILES
+    from ..snapshot.document import check_spec
+    check_spec(spec, _SERVICE_SPEC_FIELDS)
     profiles = {p.name: p for p in ALL_PROFILES}
     try:
         profile = profiles[spec["profile"]]

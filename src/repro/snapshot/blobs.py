@@ -75,11 +75,10 @@ class BlobStore:
     def subset(self, keys) -> "BlobStore":
         """A new store holding only the given keys that are present.
 
-        Absent keys are skipped, not an error: a delta-snapshot parent
-        legitimately lacks an image blob for regions it recorded as
-        ``unchanged``/``chunks`` (the capture path falls back to a whole
-        blob when a referenced payload is unavailable).  Used to ship
-        each fleet shard only the parent payloads its members reference.
+        Absent keys are skipped, not an error: delta capture falls back
+        to a whole blob when a parent's chunk-digest index is
+        unavailable.  Used to ship each fleet shard only the parent
+        payloads its members reference.
         """
         store = BlobStore()
         for key in keys:

@@ -25,9 +25,14 @@ Per-region delta record (the ``delta`` key on a region record):
     row, which both materialization and the *next* delta capture read.
 ``{"mode": "blob"}``
     Whole-window fallback: no digest tree attached (or its geometry
-    does not span the fingerprinted window), or the parent offers no
-    chunk digests to diff against.  The window travels under the
-    region fingerprint exactly like a full snapshot.
+    does not span the fingerprinted window), or the parent record
+    carries no chunk-digest index that fits the window.  The window
+    travels under the region fingerprint exactly like a full snapshot.
+
+Every record of a tree-bearing region carries the ``chunk_size`` /
+``index`` pair, whatever its mode: on the ``delta`` entry of a delta
+record, on the record itself in a full document.  Capture diffs against
+the parent's pair and never re-hashes a parent image.
 
 The per-member excluded prefix (IDT / ``counter_R`` / ``Clock_MSB``)
 always travels verbatim on the region record -- it is tiny, genuinely
@@ -76,7 +81,8 @@ from .blobs import BlobStore
 from .document import load_document, make_document
 
 __all__ = ["DeltaBase", "LOG_FIELDS", "ParentMember", "capture_log",
-           "capture_region_delta", "compact_chain", "document_id",
+           "capture_region_delta", "chunk_index", "compact_chain",
+           "document_id",
            "load_chain", "make_delta_document", "materialize_chain",
            "parent_blob_keys", "unwrap_parent", "verify_chain"]
 
@@ -128,8 +134,9 @@ def make_delta_document(kind: str, state: dict, blobs: BlobStore,
 
 def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
     """Validate a parent document (full *or* delta) and return
-    ``(state, blobs)``.  A delta parent is fine: diffing only needs the
-    parent's fingerprints and chunk-digest indexes, not its images."""
+    ``(state, blobs)``.  Diffing only needs the parent's fingerprints
+    and chunk-digest indexes, so ``blobs`` holds only the index rows;
+    region images are never decoded."""
     if (isinstance(document, dict)
             and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID):
         errors = validate_snapshot_delta(document)
@@ -142,9 +149,12 @@ def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
         raise SnapshotError(
             f"delta parent kind mismatch: document is "
             f"{document['kind']!r}, expected {kind!r}")
+    state, encoded = document["state"], document["blobs"]
     if document["schema"] == SNAPSHOT_SCHEMA_ID:
-        _reject_tails(document["state"], kind, "a full parent document")
-    return document["state"], BlobStore.decode(document["blobs"])
+        _reject_tails(state, kind, "a full parent document")
+    keys = _index_keys(_session_states(state, kind))
+    return state, BlobStore.decode({key: encoded[key] for key in keys
+                                    if key in encoded})
 
 
 def _session_states(state: dict, kind: str) -> list[dict]:
@@ -183,11 +193,17 @@ def _identity(state: dict, kind: str) -> list | None:
             for member in shard["swarm"]["members"]]
 
 
+def _index_box(record: dict):
+    """Where a region record keeps its ``chunk_size``/``index`` pair:
+    the ``delta`` entry of a delta record, the record itself in a full
+    document."""
+    return record["delta"] if "delta" in record else record
+
+
 class ParentMember:
     """One member's view of a parent checkpoint: its region records,
-    the parent's blob store (for chunk-digest indexes and fallback
-    image chunking) and its session-scope log counts (see
-    :func:`capture_log`)."""
+    the parent's blob store (for chunk-digest indexes) and its
+    session-scope log counts (see :func:`capture_log`)."""
 
     __slots__ = ("regions", "blobs", "logs")
 
@@ -198,45 +214,26 @@ class ParentMember:
 
     def chunk_digests(self, name: str, chunk_size: int,
                       window_size: int) -> list[bytes] | None:
-        """The parent's per-chunk leaf digests for region ``name``
-        under the given geometry, or ``None`` when the parent cannot
-        provide them (capture then falls back to a whole blob).
-
-        Three sources, cheapest first: a recorded chunk-digest index
-        (any delta mode may carry one), or the parent's whole window
-        image re-chunked on the fly (full snapshots and blob-mode
-        deltas).
-        """
+        """The parent's per-chunk leaf digests for region ``name``,
+        read from the chunk-digest index its record carries, or
+        ``None`` when it carries none that fits the geometry (capture
+        then falls back to a whole blob)."""
         record = self.regions.get(name)
         if record is None:
             return None
-        delta = record.get("delta")
-        if delta is not None and "index" in delta:
-            if delta.get("chunk_size") != chunk_size:
-                return None
-            try:
-                payload = self.blobs.get(delta["index"])
-            except SnapshotError:
-                return None
-            if len(payload) % _DIGEST_LEN:
-                return None
-            digests = [payload[i:i + _DIGEST_LEN]
-                       for i in range(0, len(payload), _DIGEST_LEN)]
-        else:
-            if delta is not None and delta.get("mode") != "blob":
-                return None
-            try:
-                image = self.blobs.get(record["fingerprint"])
-            except SnapshotError:
-                return None
-            if len(image) != window_size:
-                return None
-            digests = [hashlib.sha1(image[lo:lo + chunk_size]).digest()
-                       for lo in range(0, len(image), chunk_size)]
-        expected = (window_size + chunk_size - 1) // chunk_size
-        if len(digests) != expected:
+        box = _index_box(record)
+        if (not isinstance(box, dict) or box.get("chunk_size") != chunk_size
+                or not isinstance(box.get("index"), str)):
             return None
-        return digests
+        try:
+            payload = self.blobs.get(box["index"])
+        except SnapshotError:
+            return None
+        leaves = (window_size + chunk_size - 1) // chunk_size
+        if len(payload) != leaves * _DIGEST_LEN:
+            return None
+        return [payload[i:i + _DIGEST_LEN]
+                for i in range(0, len(payload), _DIGEST_LEN)]
 
 
 class DeltaBase:
@@ -288,21 +285,24 @@ class DeltaBase:
         return cls(members, _identity(state, kind), logs)
 
 
+def _index_keys(sessions) -> list[str]:
+    """The chunk-digest index keys named by the region records of
+    ``sessions``, each once, in first-seen order."""
+    keys = {}
+    for session in sessions:
+        for record in session["device"]["regions"]:
+            box = _index_box(record)
+            key = box.get("index") if isinstance(box, dict) else None
+            if isinstance(key, str):
+                keys[key] = None
+    return list(keys)
+
+
 def parent_blob_keys(swarm_state: dict) -> list[str]:
     """Every blob key a swarm-kind parent state may reference during
-    delta capture: region fingerprints (image fallback / re-chunking)
-    and chunk-digest indexes.  Used to ship each fleet shard only the
-    parent payloads its members need."""
-    keys = []
-    seen = set()
-    for member in swarm_state["members"]:
-        for record in member["session"]["device"]["regions"]:
-            for key in (record["fingerprint"],
-                        record.get("delta", {}).get("index")):
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    keys.append(key)
-    return keys
+    delta capture: its chunk-digest indexes.  Used to ship each fleet
+    shard only the parent payloads its members need."""
+    return _index_keys(_session_states(swarm_state, "swarm"))
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +544,23 @@ def _fold_logs(chain: list[dict]) -> None:
 # Capture
 # ---------------------------------------------------------------------------
 
+def chunk_index(region, blobs: BlobStore) -> tuple[list | None, dict]:
+    """The region's leaf digests and its ``chunk_size``/``index``
+    record fields, storing the index row in ``blobs``; ``(None, {})``
+    when no digest tree spans exactly the fingerprinted window (its
+    leaves would not address the bytes the fingerprint witnesses)."""
+    exclude = region.fingerprint_exclude_below
+    tree = region.digest_tree
+    if (tree is None or tree.window_start != exclude
+            or tree.window_size != region.size - exclude):
+        return None, {}
+    leaves = tree.leaf_digests(region._data)
+    payload = b"".join(leaves)
+    key = hashlib.sha1(payload).hexdigest()
+    blobs.put(key, payload)
+    return leaves, {"chunk_size": tree.chunk_size, "index": key}
+
+
 def capture_region_delta(region, parent: ParentMember,
                          blobs: BlobStore) -> dict:
     """Record one region against a parent checkpoint; returns the
@@ -552,50 +569,32 @@ def capture_region_delta(region, parent: ParentMember,
     exclude = region.fingerprint_exclude_below
     window_size = region.size - exclude
     fingerprint_hex = region._fingerprint.hex()
-    tree = region.digest_tree
-    # The tree must span exactly the fingerprinted window, or its
-    # leaves do not address the bytes the fingerprint witnesses.
-    eligible = (tree is not None and tree.window_start == exclude
-                and tree.window_size == window_size)
-    index_hex = None
-    leaves = None
-    if eligible:
-        leaves = tree.leaf_digests(region._data)
-        index_payload = b"".join(leaves)
-        index_hex = hashlib.sha1(index_payload).hexdigest()
-        blobs.put(index_hex, index_payload)
-
+    leaves, fields = chunk_index(region, blobs)
     parent_record = parent.regions.get(region.name)
     geometry_matches = (parent_record is not None
                         and parent_record["size"] == region.size
                         and parent_record["exclude"] == exclude)
     if geometry_matches and parent_record["fingerprint"] == fingerprint_hex:
         delta = {"mode": "unchanged"}
-        if eligible:
-            delta["chunk_size"] = tree.chunk_size
-            delta["index"] = index_hex
-        return delta
-    if geometry_matches and eligible:
-        parent_leaves = parent.chunk_digests(region.name, tree.chunk_size,
-                                             window_size)
-        if parent_leaves is not None and len(parent_leaves) == len(leaves):
+    else:
+        parent_leaves = None
+        if geometry_matches and leaves is not None:
+            parent_leaves = parent.chunk_digests(
+                region.name, fields["chunk_size"], window_size)
+        if parent_leaves is not None:
+            chunk_size = fields["chunk_size"]
             dirty = [i for i, (old, new)
                      in enumerate(zip(parent_leaves, leaves)) if old != new]
             window = memoryview(region._data)[exclude:]
             for i in dirty:
-                lo = i * tree.chunk_size
-                hi = min(lo + tree.chunk_size, window_size)
+                lo = i * chunk_size
+                hi = min(lo + chunk_size, window_size)
                 blobs.put(leaves[i].hex(), bytes(window[lo:hi]))
-            return {"mode": "chunks", "chunk_size": tree.chunk_size,
-                    "index": index_hex, "dirty": dirty}
-    # Fallback: whole window under the fingerprint, as a full snapshot
-    # would.  Still carries the index when a tree is attached, so the
-    # *next* delta against this one is O(dirty).
-    blobs.put(fingerprint_hex, bytes(region._data[exclude:]))
-    delta = {"mode": "blob"}
-    if eligible:
-        delta["chunk_size"] = tree.chunk_size
-        delta["index"] = index_hex
+            delta = {"mode": "chunks", "dirty": dirty}
+        else:   # the whole window, as a full snapshot stores it
+            blobs.put(fingerprint_hex, bytes(region._data[exclude:]))
+            delta = {"mode": "blob"}
+    delta.update(fields)
     return delta
 
 
@@ -649,8 +648,10 @@ def materialize_chain(documents: list[dict]) -> dict:
     each log tail is appended to its log as folded so far, and each
     region image is the root image with every chunk overlay applied in
     chain order, verified against the tip's chunk-digest index when one
-    was recorded.  Each distinct region history (see :func:`_fold_key`)
-    is folded and verified once; members sharing it share the image.
+    was recorded (the output records and blobs carry that index, as a
+    full capture's do).  Each distinct region history (see
+    :func:`_fold_key`) is folded and verified once; members sharing it
+    share the image.
     """
     chain_logs = _verify(documents)
     root = documents[0]
@@ -696,7 +697,13 @@ def materialize_chain(documents: list[dict]) -> dict:
             image = folded.get(key)
             if image is None:
                 image = folded[key] = _fold_region(name, records, doc_blobs)
+            fields = {field: value
+                      for field, value in _index_box(record).items()
+                      if field in ("chunk_size", "index")}
             record.pop("delta", None)
+            record.update(fields)
+            if fields:
+                out.put(fields["index"], doc_blobs[-1].get(fields["index"]))
             # Collision-checked: members sharing a fingerprint must
             # fold to identical images or the chain is corrupt.
             out.put(record["fingerprint"], image)
@@ -761,21 +768,21 @@ def _fold_key(name: str, records: list[dict]) -> tuple:
                     f"region {name!r}: fingerprint at chain document "
                     f"{position} must be a string")
         key.append((mode, chunk_size, index, dirty, fingerprint))
-    if len(records) == 1 and base.get("delta") is not None:
+    if len(records) == 1:
         # A root-only chain: the root's record is the tip's.
-        key.append(_index_fields(name, base["delta"], 0))
+        key.append(_index_fields(name, _index_box(base), 0))
     return tuple(key)
 
 
-def _index_fields(name: str, delta, position: int) -> tuple:
-    """``(chunk_size, index)`` of a delta record, type-checked; both
-    ``None`` when it records no chunk-digest index."""
-    if not isinstance(delta, dict):
+def _index_fields(name: str, box, position: int) -> tuple:
+    """``(chunk_size, index)`` of a region record's :func:`_index_box`,
+    type-checked; both ``None`` when it records no chunk-digest index."""
+    if not isinstance(box, dict):
         raise SnapshotError(f"region {name!r}: delta record at chain "
                             f"document {position} must be an object")
-    if "index" not in delta and "chunk_size" not in delta:
+    if "index" not in box and "chunk_size" not in box:
         return None, None
-    chunk_size, index = delta.get("chunk_size"), delta.get("index")
+    chunk_size, index = box.get("chunk_size"), box.get("index")
     if type(chunk_size) is not int or chunk_size <= 0:
         raise SnapshotError(
             f"region {name!r}: chunk_size at chain document {position} "
@@ -787,12 +794,12 @@ def _index_fields(name: str, delta, position: int) -> tuple:
     return chunk_size, index
 
 
-def _index_digests(name: str, delta: dict, blobs: BlobStore,
+def _index_digests(name: str, box: dict, blobs: BlobStore,
                    window_size: int, position: int) -> list[bytes]:
     """The 20-byte leaf digests of a chunk-digest index, which must
     cover the window exactly under the record's chunk size."""
-    chunk_size = delta["chunk_size"]
-    payload = blobs.get(delta["index"])
+    chunk_size = box["chunk_size"]
+    payload = blobs.get(box["index"])
     if len(payload) % _DIGEST_LEN:
         raise SnapshotError(
             f"region {name!r}: malformed chunk-digest index at chain "
@@ -846,12 +853,12 @@ def _fold_region(name: str, records: list[dict],
                     f"region {name!r}: chunk {i} at chain document "
                     f"{position} has wrong length")
             image[lo:lo + len(chunk)] = chunk
-    tip_delta = records[-1].get("delta")
-    if tip_delta is not None and "index" in tip_delta:
+    tip = _index_box(records[-1])
+    if "index" in tip:
         # End-to-end check: the folded image must hash chunk-for-chunk
         # to the tip's recorded leaf digests, every chunk of them.
-        chunk_size = tip_delta["chunk_size"]
-        digests = _index_digests(name, tip_delta, doc_blobs[-1],
+        chunk_size = tip["chunk_size"]
+        digests = _index_digests(name, tip, doc_blobs[-1],
                                  window_size, len(records) - 1)
         with memoryview(image) as view:
             for i, digest in enumerate(digests):

@@ -27,7 +27,7 @@ from ..errors import SnapshotError
 from ..mcu.cpu import ExecutionContext
 from .blobs import BlobStore
 from .codec import b64, unb64
-from .delta import capture_log, capture_region_delta
+from .delta import capture_log, capture_region_delta, chunk_index
 
 __all__ = ["snapshot_device", "restore_device"]
 
@@ -38,6 +38,11 @@ _BUILTIN_CONTEXTS = frozenset({"boot", "Code_Attest", "Code_Clock", "app"})
 
 def snapshot_device(device, blobs: BlobStore, parent=None) -> dict:
     """Capture ``device``'s mutable state; region images go to ``blobs``.
+
+    A region whose digest tree spans its window also records its
+    ``chunk_size`` and the key of its leaf-digest ``index`` row (see
+    :func:`repro.snapshot.delta.chunk_index`), so a later delta against
+    this document diffs leaf digests instead of re-hashing the image.
 
     With a ``parent`` (:class:`repro.snapshot.delta.ParentMember`),
     region records carry a ``delta`` entry instead of putting the whole
@@ -61,6 +66,7 @@ def snapshot_device(device, blobs: BlobStore, parent=None) -> dict:
             record["delta"] = capture_region_delta(region, parent, blobs)
         else:
             blobs.put(fingerprint, bytes(region._data[exclude:]))
+            record.update(chunk_index(region, blobs)[1])
         regions.append(record)
     snap = {
         "boot_profile": (device.boot_profile.name

@@ -35,7 +35,7 @@ from .blobs import BlobStore
 
 __all__ = ["make_document", "unwrap_document", "save_document",
            "load_document", "flatten_fleet_state", "swarm_spec",
-           "build_swarm_from_spec"]
+           "build_swarm_from_spec", "check_spec"]
 
 
 def make_document(kind: str, state: dict, blobs: BlobStore,
@@ -148,12 +148,48 @@ def swarm_spec(*, size: int, profile: str = "roam-hardened",
             "stagger_seconds": stagger_seconds, "seed": seed}
 
 
+#: Field types of a :func:`swarm_spec` (``incremental`` may be absent).
+_SWARM_SPEC_FIELDS = {"size": int, "profile": str, "auth_scheme": str,
+                      "policy": str, "ram_kb": int, "flash_kb": int,
+                      "app_kb": int, "retry": bool, "faults": bool,
+                      "incremental": bool, "stagger_seconds": float,
+                      "seed": str}
+
+
+def check_spec(spec, fields: dict, optional: tuple = ()) -> None:
+    """Refuse a rebuild spec read from a document unless it is an
+    object carrying every field of ``fields`` (name -> type) with a
+    value of that type; only names in ``optional`` may be absent.
+    ``int`` excludes ``bool``; ``float`` accepts any JSON number."""
+    if not isinstance(spec, dict):
+        raise SnapshotError(f"rebuild spec must be an object, got "
+                            f"{type(spec).__name__}")
+    for name, kind in fields.items():
+        if name not in spec:
+            if name in optional:
+                continue
+            raise SnapshotError(f"rebuild spec is missing field {name!r}")
+        value = spec[name]
+        if kind is float:
+            ok = type(value) in (int, float)
+        elif kind is int:
+            ok = type(value) is int
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise SnapshotError(
+                f"rebuild spec field {name!r} must be "
+                f"{'a number' if kind is float else kind.__name__}, "
+                f"got {value!r}")
+
+
 def build_swarm_from_spec(spec: dict):
     """Deterministically rebuild the swarm a spec describes.
 
     Same spec, same swarm: the builder funnels every parameter through
     the deterministic constructors, so a snapshot taken from one build
-    restores cleanly into another.
+    restores cleanly into another.  A malformed spec raises
+    :class:`~repro.errors.SnapshotError` naming the field.
     """
     from ..core.resilience import RetryPolicy
     from ..mcu.device import DeviceConfig
@@ -161,6 +197,7 @@ def build_swarm_from_spec(spec: dict):
     from ..perf.fleet import lossy_link
     from ..services.swarm import Swarm
 
+    check_spec(spec, _SWARM_SPEC_FIELDS, optional=("incremental",))
     profiles = {p.name: p for p in ALL_PROFILES}
     try:
         profile = profiles[spec["profile"]]

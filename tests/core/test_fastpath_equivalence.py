@@ -1,5 +1,5 @@
 """Satellite guarantee of the fast measurement engine: a full protocol
-run under any fast engine is observably identical to the naive seed.
+run under the fast engine is observably identical to the naive seed.
 
 "Observably" means everything that leaves the simulation: response MACs
 and measurements, the verifier verdict, consumed *simulated* cycles,
@@ -51,7 +51,7 @@ def run_scenario(engine: str, rounds: int = 2) -> dict:
         }
 
 
-@pytest.mark.parametrize("engine", ["pure", "accel"])
+@pytest.mark.parametrize("engine", ["accel"])
 def test_fast_engines_observably_identical_to_naive(engine):
     baseline = run_scenario("naive")
     candidate = run_scenario(engine)
@@ -77,8 +77,8 @@ def test_env_flag_disables_fast_path_at_import():
 
 def test_perf_harness_equivalence_check_is_clean():
     """The shipped harness agrees at its default size (16 KB, two
-    rounds): its equivalence block is clean and covers both fast
-    engines."""
+    rounds): its equivalence block is clean and covers the fast
+    engine."""
     from repro.perf import equivalence_check
 
     result = equivalence_check()
@@ -87,6 +87,6 @@ def test_perf_harness_equivalence_check_is_clean():
         + str({engine: verdict["mismatched_fields"]
                for engine, verdict in result["engines"].items()
                if not verdict["identical"]}))
-    assert set(result["engines"]) == {"pure", "accel"}
+    assert set(result["engines"]) == {"accel"}
     for verdict in result["engines"].values():
         assert verdict["mismatched_fields"] == []

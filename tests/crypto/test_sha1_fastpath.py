@@ -1,10 +1,10 @@
-"""The three SHA-1 host engines must be indistinguishable by digest
+"""The two SHA-1 host engines must be indistinguishable by digest
 and by simulated accounting.
 
-``naive`` is the seed reference, ``pure`` the unrolled batch core and
-``accel`` the hashlib-backed engine (see :mod:`repro.fastpath`); every
-test here runs the same absorption pattern under each engine and
-cross-checks against ``hashlib``.
+``naive`` is the from-scratch seed reference and ``accel`` the
+hashlib-backed engine (see :mod:`repro.fastpath`); every test here runs
+the same absorption pattern under each engine and cross-checks against
+``hashlib``.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import fastpath
-from repro.crypto.sha1 import (BLOCK_SIZE, SHA1, _compress, compress_blocks)
+from repro.crypto.sha1 import BLOCK_SIZE, SHA1
 
 ENGINES = list(fastpath.ENGINES)
 
@@ -87,23 +87,6 @@ def test_block_accounting_matches_hashlib_derived_counts(engine, length):
         assert h.digest() == hashlib.sha1(payload).digest()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_compress_blocks_matches_reference_per_block(engine):
-    """The batch core equals the per-block reference ``_compress``."""
-    buf = bytes(range(256)) * 2  # 8 blocks
-    state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-    reference = state
-    for offset in range(0, len(buf), BLOCK_SIZE):
-        reference = _compress(reference, buf[offset:offset + BLOCK_SIZE])
-    with fastpath.forced(engine):
-        assert compress_blocks(state, buf, 0, len(buf) // BLOCK_SIZE) \
-            == reference
-        # Offsets and memoryview input work too.
-        shifted = b"\xEE" * 3 + buf
-        assert compress_blocks(state, memoryview(shifted), 3,
-                               len(buf) // BLOCK_SIZE) == reference
-
-
 def test_update_accepts_memoryview_without_copying_semantics():
     """Satellite (a) regression: ``update`` must not coerce views with
     ``bytes(data)`` on the fast paths -- a released/mutated source must
@@ -140,8 +123,8 @@ class TestEngineSelection:
 
     def test_forced_restores_on_exit_and_error(self):
         before = fastpath.engine()
-        with fastpath.forced("pure"):
-            assert fastpath.engine() == "pure"
+        with fastpath.forced("naive"):
+            assert fastpath.engine() == "naive"
         assert fastpath.engine() == before
         with pytest.raises(RuntimeError):
             with fastpath.forced("naive"):
@@ -150,7 +133,7 @@ class TestEngineSelection:
 
     @pytest.mark.parametrize("raw,expected", [
         ("0", "naive"), ("off", "naive"), ("no", "naive"),
-        ("naive", "naive"), ("1", "pure"), ("pure", "pure"),
+        ("naive", "naive"), ("1", "accel"), ("pure", "accel"),
         ("2", "accel"), ("on", "accel"), ("", "accel"),
         ("garbage", "accel"),
     ])

@@ -32,10 +32,11 @@ import json
 import pytest
 
 from repro.core.resilience import RetryPolicy
+from repro.mcu import device as device_module
 from repro.mcu.device import DeviceConfig
 from repro.mcu.profiles import ALL_PROFILES
 from repro.perf.fleet import FleetEngine, FleetSpec, lossy_link
-from repro.perf.snapshot import _update_engine
+from repro.perf.snapshot import _update_engine, build_report
 from repro.services.swarm import Swarm
 from repro.snapshot import (bisect_replay, compact_chain, linear_scan,
                             load_document, materialize_chain, save_document)
@@ -149,7 +150,7 @@ def fleet():
         engine.sweep()
         chain = [engine.snapshot()]
         for round_index in range(LINKS):
-            _update_engine(engine, round_index, 0.10, 4096, True)
+            _update_engine(engine, round_index, 0.10, True)
             engine.sweep()
             chain.append(engine.snapshot(parent=chain[-1]))
         full = engine.snapshot()
@@ -325,3 +326,19 @@ def test_shuffled_ota_fleet_folds_and_continues_exactly():
         "ota: merged traces diverge after chain restore"
     assert live.freshness_fingerprint() == resumed.freshness_fingerprint(), \
         "ota: freshness fingerprints diverge after chain restore"
+
+
+def test_report_geometry_is_the_measured_trees(monkeypatch):
+    """The snapshot report's ``chunk_size`` is the leaf chunk of every
+    digest tree its fleets built and checkpointed."""
+    trees = []
+    make = device_module.DigestTree
+
+    def spy(*args, **kwargs):
+        trees.append(make(*args, **kwargs))
+        return trees[-1]
+    monkeypatch.setattr(device_module, "DigestTree", spy)
+    report = build_report(fleet_size=2, ram_kb=8, rounds=1, workers=1,
+                          points=((0.10, True),), equivalence_size=2)
+    assert trees
+    assert {tree.chunk_size for tree in trees} == {report["chunk_size"]}

@@ -23,9 +23,11 @@ import json
 
 import pytest
 
+from repro.mcu import device as device_module
 from repro.obs.schema import validate_incremental_report
-from repro.perf.incremental import (apply_update, build_swarm,
-                                    equivalence_check, learn_update)
+from repro.perf.incremental import (apply_update, build_report,
+                                    build_swarm, equivalence_check,
+                                    learn_update)
 from tests.conftest import REPO
 
 SIZE = 8       # fleet size for the equivalence and arithmetic gates
@@ -104,3 +106,20 @@ def test_checked_in_report_records_passing_gates():
         "report records a failed speedup gate"
     assert report["equivalence"]["identical"] is True, \
         "report records a broken incremental/full equivalence block"
+
+
+def test_report_geometry_is_the_measured_trees(monkeypatch):
+    """The report's ``chunk_size``/``arity`` are the geometry of every
+    digest tree the harness built and measured."""
+    trees = []
+    make = device_module.DigestTree
+
+    def spy(*args, **kwargs):
+        trees.append(make(*args, **kwargs))
+        return trees[-1]
+    monkeypatch.setattr(device_module, "DigestTree", spy)
+    report = build_report(fleet_size=2, ram_kb=8, sweeps=1,
+                          dirty_fractions=(DIRTY,), equivalence_size=2)
+    assert trees
+    assert {(tree.chunk_size, tree.arity) for tree in trees} == \
+        {(report["chunk_size"], report["arity"])}

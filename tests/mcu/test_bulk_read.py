@@ -153,7 +153,6 @@ class TestDeviceEquivalence:
                 digest = device.digest_writable_memory(attest)
                 after = device.cpu.cycle_count
                 outcomes[engine] = (mac, digest, mid - before, after - mid)
-        assert outcomes["pure"] == outcomes["naive"]
         assert outcomes["accel"] == outcomes["naive"]
 
     def test_tracer_attaches_forces_naive_access_pattern(self):

@@ -234,15 +234,3 @@ class TestDeviceEquivalence:
         assert stats["hits"] >= 1
         assert device.ram.digest_tree.leaf_hashes > tree_hashes
         assert device.ram.digest_tree.full_builds == 1
-
-    def test_disable_incremental_detaches_trees(self):
-        device = booted_device(StateDigestCache())
-        device.enable_incremental()
-        assert device.ram.digest_tree is not None
-        device.disable_incremental()
-        assert device.ram.digest_tree is None
-        assert device.flash.digest_tree is None
-        context = device.context("Code_Attest")
-        assert device._content_digest_key(
-            device.attested_spans()) is None
-        device.digest_writable_memory(context)  # plain path still works

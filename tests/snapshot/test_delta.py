@@ -8,6 +8,7 @@ supporting machinery (atomic saves, content-addressed blob store,
 digest-tree leaf addressing, replay bisection) holds its own edges.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -97,7 +98,6 @@ class TestBlobStore:
         with pytest.raises(SnapshotError) as err:
             store.put("ab" * 20, b"second-image!")
         message = str(err.value)
-        import hashlib
         assert hashlib.sha1(b"first-image").hexdigest() in message
         assert hashlib.sha1(b"second-image!").hexdigest() in message
         assert str(len(b"first-image")) in message
@@ -758,6 +758,100 @@ class TestHostileRegionDeltas:
         def mutate(record):
             record["delta"] = value
         self.refused(chain, mutate, "delta record .* must be an object")
+
+
+class TestIndexedFullParent:
+    """A full record of a tree-bearing region carries its chunk-digest
+    index, so the first delta against a full parent diffs leaf digests
+    instead of re-hashing the parent's images."""
+
+    @staticmethod
+    def members(document):
+        return range(len(_session_states(document["state"],
+                                          document["kind"])))
+
+    def test_full_records_carry_the_chunk_index(self):
+        swarm = build_swarm(seed="delta-indexed-root")
+        swarm.sweep()
+        root = swarm.snapshot()
+        ram = swarm.members[0].session.device.ram
+        record = regions(root)["ram"]
+        assert record["chunk_size"] == DEFAULT_CHUNK_SIZE
+        assert unb64(root["blobs"][record["index"]]) == b"".join(
+            ram.digest_tree.leaf_digests(ram._data))
+        assert "index" not in regions(root)["rom"]   # no tree, no index
+
+    def test_capture_needs_no_parent_image(self):
+        swarm = build_swarm(seed="delta-imageless-root")
+        swarm.sweep()
+        root = swarm.snapshot()
+        stripped = json.loads(json.dumps(root))
+        for member in self.members(stripped):
+            for record in regions(stripped, member).values():
+                stripped["blobs"].pop(record["fingerprint"], None)
+        rewrite(swarm, 0)
+        swarm.sweep()
+        delta = swarm.snapshot(parent=stripped)
+        modes = {record["delta"]["mode"] for member in self.members(delta)
+                 for record in regions(delta, member).values()}
+        assert "chunks" in modes and "blob" not in modes
+        direct = swarm.snapshot(parent=root)
+        assert delta["blobs"] == direct["blobs"]
+        assert delta["state"] == direct["state"]
+        assert canonical(materialize_chain([root, direct])) == \
+            canonical(swarm.snapshot())
+
+    @staticmethod
+    def forge_live_index(bad, swarm):
+        """Each member's root RAM index claims the member's *live*
+        leaves, so capture sees no dirty chunk where the root image
+        differs from live memory."""
+        for member in swarm.members:
+            ram = member.session.device.ram
+            payload = b"".join(ram.digest_tree.leaf_digests(ram._data))
+            key = hashlib.sha1(payload).hexdigest()
+            bad["blobs"][key] = b64(payload)
+            regions(bad, member.index)["ram"]["index"] = key
+
+    @pytest.mark.parametrize("tamper", ["truncated", "misaligned",
+                                        "chunk-size", "scrambled",
+                                        "forged"])
+    def test_bad_parent_index_folds_exactly_or_refuses(self, tamper):
+        swarm = build_swarm(seed=f"delta-bad-index-{tamper}")
+        swarm.sweep()
+        bad = swarm.snapshot()
+        rewrite(swarm, 0)
+        swarm.sweep()
+        if tamper == "forged":
+            self.forge_live_index(bad, swarm)
+        else:
+            for member in self.members(bad):
+                record = regions(bad, member)["ram"]
+                payload = unb64(bad["blobs"][record["index"]])
+                if tamper == "chunk-size":
+                    record["chunk_size"] = DEFAULT_CHUNK_SIZE // 2
+                    continue
+                payload = {"truncated": payload[:20],
+                           "misaligned": payload[:-1],
+                           "scrambled": payload[20:] + payload[:20],
+                           }[tamper]
+                record["index"] = hashlib.sha1(payload).hexdigest()
+                bad["blobs"][record["index"]] = b64(payload)
+        chain = [bad, swarm.snapshot(parent=bad)]
+        modes = {regions(chain[1], member)["ram"]["delta"]["mode"]
+                 for member in self.members(bad)}
+        before = [canonical(document) for document in chain]
+        if tamper == "forged":
+            assert modes == {"chunks"}
+            with pytest.raises(SnapshotError,
+                               match="does not match the tip checkpoint"):
+                materialize_chain(chain)
+        else:
+            assert modes == ({"chunks"} if tamper == "scrambled"
+                             else {"blob"})
+            assert canonical(materialize_chain(chain)) == \
+                canonical(swarm.snapshot())
+        assert [canonical(document) for document in chain] == before
 
 
 class TestCorruptBase64:

@@ -142,6 +142,16 @@ class TestBlobDedup:
             document = swarm.snapshot()
             assert len(document["blobs"]) == size + 2
 
+    def test_incremental_members_share_index_rows_too(self):
+        # With digest trees, the shared flash and ram records each also
+        # carry one chunk-digest index row -- equal bytes give equal
+        # rows, so N ROMs + 2 shared images + 2 shared rows.
+        for size in (2, 5):
+            swarm = Swarm(size, seed="dedup", incremental=True)
+            swarm.sweep()
+            document = swarm.snapshot()
+            assert len(document["blobs"]) == size + 4
+
     def test_diverged_member_adds_images(self):
         swarm = Swarm(3, seed="dedup-div")
         swarm.sweep()

@@ -1,7 +1,12 @@
 """The experiment CLI."""
 
+import argparse
+import json
+import re
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -169,3 +174,112 @@ class TestTypedErrors:
         assert err.startswith("error: "), err
         assert "Traceback" not in err
         assert not (tmp_path / "unused.json").exists()
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize("argv, option", [
+        (["fleet-bench", "--sweeps", "0"], "--sweeps must be >= 1"),
+        (["fleet-bench", "--sweeps", "-1"], "--sweeps must be >= 1"),
+        (["incremental-bench", "--sweeps", "0"], "--sweeps must be >= 1"),
+        (["snapshot-bench", "--rounds", "0"], "--rounds must be >= 1"),
+        (["snapshot", "save", "--sweeps", "-1", "--out", "unused.json"],
+         "--sweeps must be >= 0"),
+        (["snapshot", "restore", "unused.json", "--sweeps", "-2"],
+         "--sweeps must be >= 0"),
+        (["metrics", "--rounds", "-1"], "--rounds must be >= 0"),
+        (["flood", "--duration", "-5"], "--duration must be >= 0"),
+    ])
+    def test_out_of_range_count_is_one_error_line(self, argv, option,
+                                                  capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """One fleet checkpoint and one service checkpoint, as written by
+    the CLI, read back as JSON."""
+    root = tmp_path_factory.mktemp("saved")
+    swarm, service = root / "swarm.json", root / "service.json"
+    assert main(["snapshot", "save", "--out", str(swarm), "--size", "2",
+                 "--sweeps", "0", "--ram-kb", "8"]) == 0
+    assert main(["serve", "--devices", "2", "--tenants", "1",
+                 "--backends", "1", "--waves", "1",
+                 "--snapshot", str(service)]) == 0
+    return {"swarm": json.loads(swarm.read_text()),
+            "service": json.loads(service.read_text())}
+
+
+def _drop(field):
+    def mutate(meta):
+        del meta["spec"][field]
+    return mutate
+
+
+def _set(field, value):
+    def mutate(meta):
+        meta["spec"][field] = value
+    return mutate
+
+
+def _replace_spec(meta):
+    meta["spec"] = "roam-hardened"
+
+
+class TestMalformedRebuildSpec:
+    @pytest.mark.parametrize("kind, argv, mutate, match", [
+        ("swarm", ["snapshot", "restore", "{file}"], _drop("ram_kb"),
+         "missing field 'ram_kb'"),
+        ("swarm", ["snapshot", "restore", "{file}"], _drop("profile"),
+         "missing field 'profile'"),
+        ("swarm", ["snapshot", "restore", "{file}"], _set("size", "2"),
+         "field 'size' must be int"),
+        ("swarm", ["snapshot", "restore", "{file}"], _replace_spec,
+         "must be an object, got str"),
+        ("swarm", ["snapshot", "save", "--parent", "{file}",
+                   "--out", "unused.json"], _replace_spec,
+         "must be an object, got str"),
+        ("service", ["serve", "--restore", "{file}"], _drop("tenants"),
+         "missing field 'tenants'"),
+    ], ids=["restore-no-ram_kb", "restore-no-profile", "restore-str-size",
+            "restore-str-spec", "save-parent-str-spec", "serve-no-tenants"])
+    def test_error_line_not_traceback(self, saved, kind, argv, mutate, match,
+                                      capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        document = json.loads(json.dumps(saved[kind]))
+        mutate(document["meta"])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main([arg.format(file=path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rebuild spec"), err
+        assert match in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "unused.json").exists()
+
+
+def _commands(parser, prefix=()):
+    """Every command path a parser registers, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + (name,)
+                yield from _commands(sub, prefix + (name,))
+
+
+def test_usage_block_lists_every_subcommand():
+    """The module docstring's usage block names every registered
+    subcommand, so it cannot drift from ``build_parser``."""
+    usage = repro.cli.__doc__
+    commands = list(_commands(build_parser()))
+    assert ("snapshot", "bisect") in commands     # nested ones walked
+    missing = [" ".join(command) for command in commands
+               if not re.search(r"python -m repro " + re.escape(
+                   " ".join(command)) + r"(\s|$)", usage, re.M)]
+    assert missing == []
