@@ -513,27 +513,43 @@ def _cmd_analyze(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_fleet_bench(args) -> int:
-    """Sharded parallel fleet sweep vs the sequential seed path."""
+def _run_bench(args, report: dict, validate, render) -> int:
+    """The shared tail of every ``*-bench`` verb: validate the report,
+    write ``--out``, print ``--json`` or the table, then exit 1 unless
+    the report's gate (if it has one) passed and its equivalence block
+    is clean -- in both output modes."""
     import json
 
-    from .obs.schema import validate_fleet_report
-    from .perf import fleet
+    from .perf.harness import write_report
 
-    report = fleet.build_report(fleet_size=args.size, ram_kb=args.ram_kb,
-                                sweeps=args.sweeps, workers=args.workers)
-    errors = validate_fleet_report(report)
+    errors = validate(report)
     if errors:
         for error in errors:
             print(error, file=sys.stderr)
         return 1
     if args.out:
-        fleet.write_report(report, args.out)
+        write_report(report, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
     if args.json:
         print(json.dumps(report, indent=2))
-        return 0
-    equivalence = report["equivalence"]
+    else:
+        render(report)
+    passed = report.get("gate", {"passed": True})["passed"]
+    return 0 if passed and report["equivalence"]["identical"] else 1
+
+
+def _cmd_fleet_bench(args) -> int:
+    """Sharded parallel fleet sweep vs the sequential seed path."""
+    from .obs.schema import validate_fleet_report
+    from .perf import fleet
+
+    report = fleet.build_report(fleet_size=args.size, ram_kb=args.ram_kb,
+                                sweeps=args.sweeps, workers=args.workers)
+    return _run_bench(args, report, validate_fleet_report,
+                      _render_fleet_bench)
+
+
+def _render_fleet_bench(report: dict) -> None:
     rows = [["quantity", "sequential", "parallel"],
             ["spin-up (s)",
              f"{report['spinup']['sequential_seconds']:.3f}",
@@ -552,14 +568,11 @@ def _cmd_fleet_bench(args) -> int:
     print(f"\nsweep speedup: {report['speedup']:.2f}x   "
           f"digest cache: {cache['hits']} hits / {cache['misses']} misses")
     print(f"reports identical: {report['reports_identical']}   "
-          f"equivalence clean: {equivalence['identical']}")
-    return 0 if equivalence["identical"] else 1
+          f"equivalence clean: {report['equivalence']['identical']}")
 
 
 def _cmd_incremental_bench(args) -> int:
     """Dirty-region incremental sweeps vs full walks on an OTA fleet."""
-    import json
-
     from .obs.schema import validate_incremental_report
     from .perf import incremental
 
@@ -570,17 +583,11 @@ def _cmd_incremental_bench(args) -> int:
                                       ram_kb=args.ram_kb,
                                       sweeps=args.sweeps,
                                       **kwargs)
-    errors = validate_incremental_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        incremental.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
+    return _run_bench(args, report, validate_incremental_report,
+                      _render_incremental_bench)
+
+
+def _render_incremental_bench(report: dict) -> None:
     rows = [["dirty", "dirty KB", "full (s)", "incremental (s)", "speedup"]]
     for point in report["points"]:
         rows.append([f"{point['dirty_fraction']:.0%}",
@@ -593,13 +600,11 @@ def _cmd_incremental_bench(args) -> int:
                     f"{report['writable_kb']} KB writable, "
                     f"{report['sweeps']} timed sweep(s)"))
     gate = report["gate"]
-    equivalence = report["equivalence"]
     print(f"\ngate: {gate['speedup']:.2f}x at "
           f"{gate['dirty_fraction']:.0%} dirty "
           f"(threshold {gate['threshold']:.1f}x) -> "
           f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
+    print(f"equivalence clean: {report['equivalence']['identical']}")
 
 
 def _report_rows(report) -> list:
@@ -841,8 +846,6 @@ def _cmd_snapshot_bisect(args) -> int:
 
 def _cmd_snapshot_bench(args) -> int:
     """Chained delta checkpoints vs full snapshots on an OTA fleet."""
-    import json
-
     from .obs.schema import validate_snapshot_report
     from .perf import snapshot as perf_snapshot
 
@@ -850,17 +853,11 @@ def _cmd_snapshot_bench(args) -> int:
                                         ram_kb=args.ram_kb,
                                         rounds=args.rounds,
                                         workers=args.workers)
-    errors = validate_snapshot_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        perf_snapshot.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
+    return _run_bench(args, report, validate_snapshot_report,
+                      _render_snapshot_bench)
+
+
+def _render_snapshot_bench(report: dict) -> None:
     rows = [["dirty", "content", "full (s)", "delta (s)", "speedup",
              "bytes saved"]]
     for point in report["points"]:
@@ -875,15 +872,13 @@ def _cmd_snapshot_bench(args) -> int:
                     f"{report['workers']} workers, "
                     f"{report['rounds']} timed round(s)"))
     gate = report["gate"]
-    equivalence = report["equivalence"]
     print(f"\ngate: {gate['speedup']:.2f}x wall-clock / "
           f"{gate['bytes_reduction']:.1f}x bytes at "
           f"{gate['dirty_fraction']:.0%} dirty (thresholds "
           f"{gate['speedup_threshold']:.1f}x / "
           f"{gate['bytes_threshold']:.1f}x) -> "
           f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
+    print(f"equivalence clean: {report['equivalence']['identical']}")
 
 
 def _cmd_serve(args) -> int:
@@ -954,25 +949,17 @@ def _cmd_serve(args) -> int:
 
 def _cmd_service_bench(args) -> int:
     """Service-tier load benchmark vs the sequential library path."""
-    import json
-
     from .obs.schema import validate_service_report
     from .perf import service as perf_service
 
     report = perf_service.build_report(size=args.size, tenants=args.tenants,
                                        backends=args.backends,
                                        duty_fraction=args.duty)
-    errors = validate_service_report(report)
-    if errors:
-        for error in errors:
-            print(error, file=sys.stderr)
-        return 1
-    if args.out:
-        perf_service.write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0 if report["gate"]["passed"] else 1
+    return _run_bench(args, report, validate_service_report,
+                      _render_service_bench)
+
+
+def _render_service_bench(report: dict) -> None:
     rows = [["point", "offered", "admitted", "rejected", "in flight",
              "sessions/s", "p99 (ms)"]]
     for label, point in zip(("paced", "overload", "burst"),
@@ -986,12 +973,10 @@ def _cmd_service_bench(args) -> int:
                     f"{report['tenants']} tenants, "
                     f"{report['backends']} backends"))
     gate = report["gate"]
-    equivalence = report["equivalence"]
     print(f"\ngate: {gate['max_peak_in_flight']} sessions in flight "
           f"(needs >= {gate['required_in_flight']}) -> "
           f"{'pass' if gate['passed'] else 'FAIL'}")
-    print(f"equivalence clean: {equivalence['identical']}")
-    return 0 if gate["passed"] and equivalence["identical"] else 1
+    print(f"equivalence clean: {report['equivalence']['identical']}")
 
 
 def _cmd_report(args) -> int:
@@ -1192,9 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int, default=2,
                    action=_AtLeast, minimum=1,
                    help="timed sweeps per path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="shard workers (default: REPRO_FLEET_WORKERS "
-                        "or the CPU count)")
+    p.add_argument("--workers", type=int, default=2,
+                   help="shard workers (default 2)")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable fleet report")
     p.add_argument("--out", default=None,

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
-__all__ = ["RetryPolicy", "ResilientOutcome", "CircuitBreaker",
-           "BREAKER_STATES"]
+__all__ = ["RetryPolicy", "JITTERED_RETRY", "ResilientOutcome",
+           "CircuitBreaker", "BREAKER_STATES"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,13 @@ class RetryPolicy:
         """Whether ``elapsed_seconds`` has used up the total budget."""
         return (self.total_budget_seconds is not None
                 and elapsed_seconds >= self.total_budget_seconds)
+
+
+#: The retry policy of every faulted fleet scenario (the equivalence
+#: gates and rebuild specs with ``retry: true``): 5 s attempts, two
+#: retries, 1 s base backoff with up to 50 % deterministic jitter.
+JITTERED_RETRY = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
+                             base_backoff_seconds=1.0, jitter_fraction=0.5)
 
 
 @dataclass

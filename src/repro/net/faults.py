@@ -25,7 +25,8 @@ from ..errors import ConfigurationError
 from .channel import Verdict
 
 __all__ = ["FaultModel", "BernoulliLoss", "GilbertElliottLoss",
-           "LatencyJitter", "Duplicator", "Reorderer", "FaultPipeline"]
+           "LatencyJitter", "Duplicator", "Reorderer", "FaultPipeline",
+           "lossy_link"]
 
 
 def _check_probability(value: float, what: str) -> float:
@@ -200,3 +201,17 @@ class FaultPipeline:
             return Verdict("duplicate", extra_delay=extra_delay,
                            duplicate_delay=duplicate_delay)
         return Verdict("forward", extra_delay=extra_delay)
+
+
+def lossy_link(index: int, device_id: str) -> FaultPipeline:
+    """Per-member fault pipeline (20 % loss plus latency jitter) keyed on
+    device identity, for fleet ``adversary_factory`` hooks.
+
+    Module-level (picklable) so fleet specs carrying it survive the trip
+    into shard worker processes; seeded per device so the fault schedule
+    a member sees is identical whether it lives in a shard or in one big
+    swarm.
+    """
+    return FaultPipeline(
+        BernoulliLoss(0.2, seed=f"fleet-fault:{device_id}"),
+        LatencyJitter(0.01, seed=f"fleet-jitter:{device_id}"))

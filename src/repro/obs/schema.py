@@ -137,17 +137,6 @@ EVENT_SCHEMA = {
     "additional_scalars": True,
 }
 
-#: Schema of the registry dump object.
-REGISTRY_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "metrics"],
-    "properties": {
-        "schema": {"type": "string",
-                   "enum": ["repro.obs.registry/v1"]},
-        "metrics": {"type": "array"},
-    },
-}
-
 #: Schema of one metric snapshot inside the registry dump.
 _METRIC_SCHEMA = {
     "type": "object",
@@ -160,26 +149,18 @@ _METRIC_SCHEMA = {
     },
 }
 
-_HISTOGRAM_REQUIRED = ("buckets", "bucket_counts", "overflow", "count", "sum")
-
-#: Schema of the host wall-clock benchmark report
-#: (``BENCH_wallclock.json`` at the repository root, written by
-#: ``benchmarks/bench_wallclock.py``; see ``docs/performance.md``).
-WALLCLOCK_SCHEMA = {
+#: Schema of the registry dump object.
+REGISTRY_SCHEMA = {
     "type": "object",
-    "required": ["schema", "engine_default", "sweep", "naive_baseline",
-                 "speedup", "hmac_cache", "equivalence"],
+    "required": ["schema", "metrics"],
     "properties": {
         "schema": {"type": "string",
-                   "enum": ["repro.perf.wallclock/v1"]},
-        "engine_default": {"type": "string", "enum": sorted(ENGINES)},
-        "sweep": {"type": "array"},
-        "naive_baseline": {"type": "object"},
-        "speedup": {"type": "object"},
-        "hmac_cache": {"type": "object"},
-        "equivalence": {"type": "object"},
+                   "enum": ["repro.obs.registry/v1"]},
+        "metrics": {"type": "array", "items": _METRIC_SCHEMA},
     },
 }
+
+_HISTOGRAM_REQUIRED = ("buckets", "bucket_counts", "overflow", "count", "sum")
 
 #: Schema of one measurement-sweep entry inside the wall-clock report.
 _SWEEP_ENTRY_SCHEMA = {
@@ -196,49 +177,46 @@ _SWEEP_ENTRY_SCHEMA = {
     },
 }
 
-_SPEEDUP_SCHEMA = {
+#: Schema of the host wall-clock benchmark report
+#: (``BENCH_wallclock.json`` at the repository root, written by
+#: ``benchmarks/bench_wallclock.py``; see ``docs/performance.md``).
+WALLCLOCK_SCHEMA = {
     "type": "object",
-    "required": ["ram_kb", "naive_seconds", "fast_seconds", "factor"],
+    "required": ["schema", "engine_default", "sweep", "naive_baseline",
+                 "speedup", "hmac_cache", "equivalence"],
     "properties": {
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "naive_seconds": {"type": "number", "minimum": 0},
-        "fast_seconds": {"type": "number", "minimum": 0},
-        "factor": {"type": "number", "minimum": 0},
-    },
-}
-
-_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["ram_kb", "rounds", "identical", "engines"],
-    "properties": {
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "rounds": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "engines": {"type": "object"},
-    },
-}
-
-#: Schema of the fleet throughput benchmark report
-#: (``BENCH_fleet.json`` at the repository root, written by
-#: ``benchmarks/bench_fleet_operations.py``; see ``docs/fleet-scale.md``).
-FLEET_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "fleet_size", "workers", "sweeps", "sequential",
-                 "parallel", "speedup", "spinup", "cache", "equivalence"],
-    "properties": {
-        "schema": {"type": "string", "enum": ["repro.perf.fleet/v1"]},
-        "fleet_size": {"type": "integer", "minimum": 1},
-        "ram_kb": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
-        "sweeps": {"type": "integer", "minimum": 1},
-        "host": {"type": "object"},
-        "sequential": {"type": "object"},
-        "parallel": {"type": "object"},
-        "speedup": {"type": "number", "minimum": 0},
-        "spinup": {"type": "object"},
-        "cache": {"type": "object"},
-        "reports_identical": {"type": "boolean"},
-        "equivalence": {"type": "object"},
+        "schema": {"type": "string",
+                   "enum": ["repro.perf.wallclock/v1"]},
+        "engine_default": {"type": "string", "enum": sorted(ENGINES)},
+        "sweep": {"type": "array", "items": _SWEEP_ENTRY_SCHEMA},
+        "naive_baseline": {
+            **_SWEEP_ENTRY_SCHEMA,
+            "properties": {**_SWEEP_ENTRY_SCHEMA["properties"],
+                           "engine": {"type": "string",
+                                      "enum": ["naive"]}},
+        },
+        "speedup": {
+            "type": "object",
+            "required": ["ram_kb", "naive_seconds", "fast_seconds",
+                         "factor"],
+            "properties": {
+                "ram_kb": {"type": "integer", "minimum": 1},
+                "naive_seconds": {"type": "number", "minimum": 0},
+                "fast_seconds": {"type": "number", "minimum": 0},
+                "factor": {"type": "number", "minimum": 0},
+            },
+        },
+        "hmac_cache": {"type": "object"},
+        "equivalence": {
+            "type": "object",
+            "required": ["ram_kb", "rounds", "identical", "engines"],
+            "properties": {
+                "ram_kb": {"type": "integer", "minimum": 1},
+                "rounds": {"type": "integer", "minimum": 1},
+                "identical": {"type": "boolean"},
+                "engines": {"type": "object"},
+            },
+        },
     },
 }
 
@@ -257,38 +235,58 @@ _FLEET_TIMING_SCHEMA = {
     },
 }
 
-_FLEET_SPINUP_SCHEMA = {
+#: Schema of the fleet throughput benchmark report
+#: (``BENCH_fleet.json`` at the repository root, written by
+#: ``benchmarks/bench_fleet_operations.py``; see ``docs/fleet-scale.md``).
+FLEET_SCHEMA = {
     "type": "object",
-    "required": ["sequential_seconds", "parallel_seconds", "factor"],
+    "required": ["schema", "fleet_size", "workers", "sweeps", "sequential",
+                 "parallel", "speedup", "spinup", "cache", "equivalence"],
     "properties": {
-        "sequential_seconds": {"type": "number", "minimum": 0},
-        "parallel_seconds": {"type": "number", "minimum": 0},
-        "factor": {"type": "number", "minimum": 0},
-        "cached_inprocess_seconds": {"type": "number", "minimum": 0},
-        "cached_factor": {"type": "number", "minimum": 0},
-    },
-}
-
-_FLEET_CACHE_SCHEMA = {
-    "type": "object",
-    "required": ["hits", "misses", "entries"],
-    "properties": {
-        "hits": {"type": "integer", "minimum": 0},
-        "misses": {"type": "integer", "minimum": 0},
-        "entries": {"type": "integer", "minimum": 0},
-    },
-}
-
-_FLEET_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["fleet_size", "workers", "sweeps", "identical",
-                 "mismatched_fields"],
-    "properties": {
+        "schema": {"type": "string", "enum": ["repro.perf.fleet/v1"]},
         "fleet_size": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 2},
+        "ram_kb": {"type": "integer", "minimum": 1},
+        "workers": {"type": "integer", "minimum": 1},
         "sweeps": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
+        "host": {"type": "object"},
+        "sequential": _FLEET_TIMING_SCHEMA,
+        "parallel": _FLEET_TIMING_SCHEMA,
+        "speedup": {"type": "number", "minimum": 0},
+        "spinup": {
+            "type": "object",
+            "required": ["sequential_seconds", "parallel_seconds",
+                         "factor"],
+            "properties": {
+                "sequential_seconds": {"type": "number", "minimum": 0},
+                "parallel_seconds": {"type": "number", "minimum": 0},
+                "factor": {"type": "number", "minimum": 0},
+                "cached_inprocess_seconds": {"type": "number",
+                                             "minimum": 0},
+                "cached_factor": {"type": "number", "minimum": 0},
+            },
+        },
+        "cache": {
+            "type": "object",
+            "required": ["hits", "misses", "entries"],
+            "properties": {
+                "hits": {"type": "integer", "minimum": 0},
+                "misses": {"type": "integer", "minimum": 0},
+                "entries": {"type": "integer", "minimum": 0},
+            },
+        },
+        "reports_identical": {"type": "boolean"},
+        "equivalence": {
+            "type": "object",
+            "required": ["fleet_size", "workers", "sweeps", "identical",
+                         "mismatched_fields"],
+            "properties": {
+                "fleet_size": {"type": "integer", "minimum": 1},
+                "workers": {"type": "integer", "minimum": 2},
+                "sweeps": {"type": "integer", "minimum": 1},
+                "identical": {"type": "boolean"},
+                "mismatched_fields": {"type": "array"},
+            },
+        },
     },
 }
 
@@ -309,50 +307,41 @@ INCREMENTAL_SCHEMA = {
         "chunk_size": {"type": "integer", "minimum": 1},
         "arity": {"type": "integer", "minimum": 2},
         "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
+        "points": {"type": "array", "items": {
+            "type": "object",
+            "required": ["dirty_fraction", "dirty_kb", "full_seconds",
+                         "incremental_seconds", "speedup"],
+            "properties": {
+                "dirty_fraction": {"type": "number", "minimum": 0},
+                "dirty_kb": {"type": "integer", "minimum": 0},
+                "full_seconds": {"type": "number", "minimum": 0},
+                "incremental_seconds": {"type": "number", "minimum": 0},
+                "speedup": {"type": "number", "minimum": 0},
+                "full_cache": {"type": "object"},
+                "incremental_cache": {"type": "object"},
+                "tree": {"type": "object"},
+            },
+        }},
+        "gate": {
+            "type": "object",
+            "required": ["dirty_fraction", "speedup", "threshold", "passed"],
+            "properties": {
+                "dirty_fraction": {"type": "number", "minimum": 0},
+                "speedup": {"type": "number", "minimum": 0},
+                "threshold": {"type": "number", "minimum": 0},
+                "passed": {"type": "boolean"},
+            },
+        },
+        "equivalence": {
+            "type": "object",
+            "required": ["identical", "scenarios"],
+            "properties": {
+                "identical": {"type": "boolean"},
+                "scenarios": {"type": "object"},
+            },
+        },
     },
 }
-
-#: Schema of one dirty-fraction measurement point in the incremental
-#: report.
-_INCREMENTAL_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "dirty_kb", "full_seconds",
-                 "incremental_seconds", "speedup"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "dirty_kb": {"type": "integer", "minimum": 0},
-        "full_seconds": {"type": "number", "minimum": 0},
-        "incremental_seconds": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "full_cache": {"type": "object"},
-        "incremental_cache": {"type": "object"},
-        "tree": {"type": "object"},
-    },
-}
-
-_INCREMENTAL_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "speedup", "threshold", "passed"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "threshold": {"type": "number", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_INCREMENTAL_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["identical", "scenarios"],
-    "properties": {
-        "identical": {"type": "boolean"},
-        "scenarios": {"type": "object"},
-    },
-}
-
 
 #: Schema of the delta-checkpoint benchmark report
 #: (``BENCH_snapshot.json`` at the repository root, written by
@@ -370,55 +359,47 @@ SNAPSHOT_BENCH_SCHEMA = {
         "rounds": {"type": "integer", "minimum": 1},
         "chunk_size": {"type": "integer", "minimum": 1},
         "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
+        "points": {"type": "array", "items": {
+            "type": "object",
+            "required": ["dirty_fraction", "shared_content", "full_seconds",
+                         "delta_seconds", "speedup", "full_bytes",
+                         "delta_bytes", "bytes_reduction",
+                         "chain_identical"],
+            "properties": {
+                "dirty_fraction": {"type": "number", "minimum": 0},
+                "shared_content": {"type": "boolean"},
+                "full_seconds": {"type": "number", "minimum": 0},
+                "delta_seconds": {"type": "number", "minimum": 0},
+                "speedup": {"type": "number", "minimum": 0},
+                "full_bytes": {"type": "integer", "minimum": 0},
+                "delta_bytes": {"type": "integer", "minimum": 0},
+                "bytes_reduction": {"type": "number", "minimum": 0},
+                "chain_identical": {"type": "boolean"},
+            },
+        }},
+        "gate": {
+            "type": "object",
+            "required": ["dirty_fraction", "speedup", "speedup_threshold",
+                         "bytes_reduction", "bytes_threshold", "passed"],
+            "properties": {
+                "dirty_fraction": {"type": "number", "minimum": 0},
+                "speedup": {"type": "number", "minimum": 0},
+                "speedup_threshold": {"type": "number", "minimum": 0},
+                "bytes_reduction": {"type": "number", "minimum": 0},
+                "bytes_threshold": {"type": "number", "minimum": 0},
+                "passed": {"type": "boolean"},
+            },
+        },
+        "equivalence": {
+            "type": "object",
+            "required": ["identical", "mismatched_fields"],
+            "properties": {
+                "identical": {"type": "boolean"},
+                "mismatched_fields": {"type": "array"},
+            },
+        },
     },
 }
-
-#: Schema of one dirty-fraction measurement point in the snapshot
-#: report.
-_SNAPSHOT_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "shared_content", "full_seconds",
-                 "delta_seconds", "speedup", "full_bytes", "delta_bytes",
-                 "bytes_reduction", "chain_identical"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "shared_content": {"type": "boolean"},
-        "full_seconds": {"type": "number", "minimum": 0},
-        "delta_seconds": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "full_bytes": {"type": "integer", "minimum": 0},
-        "delta_bytes": {"type": "integer", "minimum": 0},
-        "bytes_reduction": {"type": "number", "minimum": 0},
-        "chain_identical": {"type": "boolean"},
-    },
-}
-
-_SNAPSHOT_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["dirty_fraction", "speedup", "speedup_threshold",
-                 "bytes_reduction", "bytes_threshold", "passed"],
-    "properties": {
-        "dirty_fraction": {"type": "number", "minimum": 0},
-        "speedup": {"type": "number", "minimum": 0},
-        "speedup_threshold": {"type": "number", "minimum": 0},
-        "bytes_reduction": {"type": "number", "minimum": 0},
-        "bytes_threshold": {"type": "number", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_SNAPSHOT_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["identical", "mismatched_fields"],
-    "properties": {
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
-    },
-}
-
 
 #: Schema of the verifier-service load benchmark report
 #: (``BENCH_service.json`` at the repository root, written by
@@ -434,49 +415,44 @@ SERVICE_SCHEMA = {
         "backends": {"type": "integer", "minimum": 1},
         "duty_fraction": {"type": "number", "minimum": 0},
         "host": {"type": "object"},
-        "points": {"type": "array"},
-        "gate": {"type": "object"},
-        "equivalence": {"type": "object"},
-    },
-}
-
-#: Schema of one offered-load point in the service report.
-_SERVICE_POINT_SCHEMA = {
-    "type": "object",
-    "required": ["offered", "admitted", "rejected", "peak_in_flight",
-                 "sessions_per_second", "p50_latency_ms", "p99_latency_ms",
-                 "wall_seconds"],
-    "properties": {
-        "offered": {"type": "integer", "minimum": 0},
-        "admitted": {"type": "integer", "minimum": 0},
-        "rejected": {"type": "integer", "minimum": 0},
-        "peak_in_flight": {"type": "integer", "minimum": 0},
-        "sessions_per_second": {"type": "number", "minimum": 0},
-        "p50_latency_ms": {"type": "number", "minimum": 0},
-        "p99_latency_ms": {"type": "number", "minimum": 0},
-        "wall_seconds": {"type": "number", "minimum": 0},
-        "waves": {"type": "integer", "minimum": 1},
-        "workers": {"type": "integer", "minimum": 1},
-    },
-}
-
-_SERVICE_GATE_SCHEMA = {
-    "type": "object",
-    "required": ["max_peak_in_flight", "required_in_flight", "passed"],
-    "properties": {
-        "max_peak_in_flight": {"type": "integer", "minimum": 0},
-        "required_in_flight": {"type": "integer", "minimum": 0},
-        "passed": {"type": "boolean"},
-    },
-}
-
-_SERVICE_EQUIVALENCE_SCHEMA = {
-    "type": "object",
-    "required": ["workers", "identical", "mismatched_fields"],
-    "properties": {
-        "workers": {"type": "integer", "minimum": 1},
-        "identical": {"type": "boolean"},
-        "mismatched_fields": {"type": "array"},
+        "points": {"type": "array", "items": {
+            "type": "object",
+            "required": ["offered", "admitted", "rejected",
+                         "peak_in_flight", "sessions_per_second",
+                         "p50_latency_ms", "p99_latency_ms",
+                         "wall_seconds"],
+            "properties": {
+                "offered": {"type": "integer", "minimum": 0},
+                "admitted": {"type": "integer", "minimum": 0},
+                "rejected": {"type": "integer", "minimum": 0},
+                "peak_in_flight": {"type": "integer", "minimum": 0},
+                "sessions_per_second": {"type": "number", "minimum": 0},
+                "p50_latency_ms": {"type": "number", "minimum": 0},
+                "p99_latency_ms": {"type": "number", "minimum": 0},
+                "wall_seconds": {"type": "number", "minimum": 0},
+                "waves": {"type": "integer", "minimum": 1},
+                "workers": {"type": "integer", "minimum": 1},
+            },
+        }},
+        "gate": {
+            "type": "object",
+            "required": ["max_peak_in_flight", "required_in_flight",
+                         "passed"],
+            "properties": {
+                "max_peak_in_flight": {"type": "integer", "minimum": 0},
+                "required_in_flight": {"type": "integer", "minimum": 0},
+                "passed": {"type": "boolean"},
+            },
+        },
+        "equivalence": {
+            "type": "object",
+            "required": ["workers", "identical", "mismatched_fields"],
+            "properties": {
+                "workers": {"type": "integer", "minimum": 1},
+                "identical": {"type": "boolean"},
+                "mismatched_fields": {"type": "array"},
+            },
+        },
     },
 }
 
@@ -539,72 +515,17 @@ SNAPSHOT_DELTA_SCHEMA = {
 }
 
 
-#: Schema of the static-analysis report (``repro verify-profile --json``,
-#: ``repro lint --json`` and ``tests/gates/test_analysis.py`` all emit or
-#: embed this envelope; byte-identical for identical inputs).
-ANALYSIS_SCHEMA = {
+#: Schema of one lint violation entry (waived or not).
+_LINT_VIOLATION_SCHEMA = {
     "type": "object",
-    "required": ["schema", "profiles", "lint"],
+    "required": ["rule", "path", "line", "message"],
     "properties": {
-        "schema": {"type": "string", "enum": ["repro.analysis/v1"]},
-        "profiles": {"type": "array"},
-        "lint": {"type": "object"},
-        "taint": {"type": "object"},
-    },
-}
-
-#: Schema of one per-profile invariant report inside the analysis report.
-_PROFILE_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["profile", "clock_kind", "holds", "verdicts"],
-    "properties": {
-        "profile": {"type": "string"},
-        "clock_kind": {"type": "string",
-                       "enum": ["hw64", "hw32div", "sw", "none"]},
-        "holds": {"type": "boolean"},
-        "verdicts": {"type": "array"},
-    },
-}
-
-#: Schema of one invariant verdict.
-_VERDICT_SCHEMA = {
-    "type": "object",
-    "required": ["invariant", "holds", "detail"],
-    "properties": {
-        "invariant": {"type": "string", "enum": sorted(INVARIANT_NAMES)},
-        "holds": {"type": "boolean"},
-        "detail": {"type": "string"},
-        "attack": {"type": "string"},
-        "counterexample": {"type": "object"},
-    },
-}
-
-#: Schema of the lint section of the analysis report.
-_LINT_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["files_scanned", "clean", "violations", "waived"],
-    "properties": {
-        "files_scanned": {"type": "integer", "minimum": 0},
-        "clean": {"type": "boolean"},
-        "violations": {"type": "array"},
-        "waived": {"type": "array"},
-        "stale_waivers": {"type": "array"},
-    },
-}
-
-#: Schema of the taint section of the analysis report.
-_TAINT_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["files_scanned", "clean", "violations", "waived",
-                 "sinks", "stale_policy"],
-    "properties": {
-        "files_scanned": {"type": "integer", "minimum": 0},
-        "clean": {"type": "boolean"},
-        "violations": {"type": "array"},
-        "waived": {"type": "array"},
-        "sinks": {"type": "array"},
-        "stale_policy": {"type": "array"},
-        "rounds": {"type": "integer", "minimum": 0},
+        "rule": {"type": "string", "enum": sorted(LINT_RULE_IDS)},
+        "path": {"type": "string"},
+        "line": {"type": "integer", "minimum": 0},
+        "col": {"type": "integer", "minimum": 0},
+        "message": {"type": "string"},
+        "waiver_reason": {"type": "string"},
     },
 }
 
@@ -624,19 +545,68 @@ _TAINT_VIOLATION_SCHEMA = {
     },
 }
 
-#: Schema of one lint violation entry (waived or not).
-_LINT_VIOLATION_SCHEMA = {
+#: Schema of the static-analysis report (``repro verify-profile --json``,
+#: ``repro lint --json`` and ``tests/gates/test_analysis.py`` all emit or
+#: embed this envelope; byte-identical for identical inputs).
+ANALYSIS_SCHEMA = {
     "type": "object",
-    "required": ["rule", "path", "line", "message"],
+    "required": ["schema", "profiles", "lint"],
     "properties": {
-        "rule": {"type": "string", "enum": sorted(LINT_RULE_IDS)},
-        "path": {"type": "string"},
-        "line": {"type": "integer", "minimum": 0},
-        "col": {"type": "integer", "minimum": 0},
-        "message": {"type": "string"},
-        "waiver_reason": {"type": "string"},
+        "schema": {"type": "string", "enum": ["repro.analysis/v1"]},
+        # One per-profile invariant report, each with its verdicts.
+        "profiles": {"type": "array", "items": {
+            "type": "object",
+            "required": ["profile", "clock_kind", "holds", "verdicts"],
+            "properties": {
+                "profile": {"type": "string"},
+                "clock_kind": {"type": "string",
+                               "enum": ["hw64", "hw32div", "sw", "none"]},
+                "holds": {"type": "boolean"},
+                "verdicts": {"type": "array", "items": {
+                    "type": "object",
+                    "required": ["invariant", "holds", "detail"],
+                    "properties": {
+                        "invariant": {"type": "string",
+                                      "enum": sorted(INVARIANT_NAMES)},
+                        "holds": {"type": "boolean"},
+                        "detail": {"type": "string"},
+                        "attack": {"type": "string"},
+                        "counterexample": {"type": "object"},
+                    },
+                }},
+            },
+        }},
+        "lint": {
+            "type": "object",
+            "required": ["files_scanned", "clean", "violations", "waived"],
+            "properties": {
+                "files_scanned": {"type": "integer", "minimum": 0},
+                "clean": {"type": "boolean"},
+                "violations": {"type": "array",
+                               "items": _LINT_VIOLATION_SCHEMA},
+                "waived": {"type": "array", "items": _LINT_VIOLATION_SCHEMA},
+                "stale_waivers": {"type": "array"},
+            },
+        },
+        "taint": {
+            "type": "object",
+            "required": ["files_scanned", "clean", "violations", "waived",
+                         "sinks", "stale_policy"],
+            "properties": {
+                "files_scanned": {"type": "integer", "minimum": 0},
+                "clean": {"type": "boolean"},
+                "violations": {"type": "array",
+                               "items": _TAINT_VIOLATION_SCHEMA},
+                "waived": {"type": "array",
+                           "items": _TAINT_VIOLATION_SCHEMA},
+                "sinks": {"type": "array"},
+                "stale_policy": {"type": "array"},
+                "rounds": {"type": "integer", "minimum": 0},
+            },
+        },
     },
 }
+
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -652,35 +622,31 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 def _check(obj, schema, path: str) -> list[str]:
-    errors = []
-    check = _TYPE_CHECKS[schema["type"]]
-    if not check(obj):
+    """Errors of ``obj`` against ``schema``, recursing into nested object
+    ``properties`` and array ``items``; each error names its full path
+    (``incremental.points[2].speedup: ...``)."""
+    if not _TYPE_CHECKS[schema["type"]](obj):
         return [f"{path}: expected {schema['type']}, "
                 f"got {type(obj).__name__}"]
-    if schema["type"] != "object":
-        return errors
+    errors = []
+    if "enum" in schema and obj not in schema["enum"]:
+        errors.append(f"{path}: {obj!r} not in allowed values")
+    if "minimum" in schema and obj < schema["minimum"]:
+        errors.append(f"{path}: {obj!r} below minimum {schema['minimum']}")
+    if "items" in schema:
+        for index, item in enumerate(obj):
+            errors.extend(_check(item, schema["items"], f"{path}[{index}]"))
     for key in schema.get("required", ()):
         if key not in obj:
             errors.append(f"{path}: missing required key {key!r}")
-    for key, sub in schema.get("properties", {}).items():
-        if key not in obj:
-            continue
-        value = obj[key]
-        sub_path = f"{path}.{key}"
-        type_check = _TYPE_CHECKS[sub["type"]]
-        if not type_check(value):
-            errors.append(f"{sub_path}: expected {sub['type']}, "
-                          f"got {type(value).__name__}")
-            continue
-        if "enum" in sub and value not in sub["enum"]:
-            errors.append(f"{sub_path}: {value!r} not in allowed values")
-        if "minimum" in sub and value < sub["minimum"]:
-            errors.append(f"{sub_path}: {value!r} below minimum "
-                          f"{sub['minimum']}")
+    properties = schema.get("properties", {})
+    for key, sub in properties.items():
+        if key in obj:
+            errors.extend(_check(obj[key], sub, f"{path}.{key}"))
     if schema.get("additional_scalars"):
-        known = set(schema.get("properties", ()))
         for key, value in obj.items():
-            if key not in known and not isinstance(value, _SCALAR_TYPES):
+            if key not in properties and not isinstance(value,
+                                                        _SCALAR_TYPES):
                 errors.append(f"{path}.{key}: field must be a JSON scalar, "
                               f"got {type(value).__name__}")
     return errors
@@ -720,12 +686,12 @@ def validate_jsonl_trace(text: str) -> list[str]:
 def validate_registry_dump(dump: dict) -> list[str]:
     """Validate a decoded registry dump object; returns error strings."""
     errors = _check(dump, REGISTRY_SCHEMA, "registry")
-    for index, metric in enumerate(dump.get("metrics", [])
-                                   if isinstance(dump, dict) else []):
-        path = f"registry.metrics[{index}]"
-        errors.extend(_check(metric, _METRIC_SCHEMA, path))
+    metrics = dump.get("metrics") if isinstance(dump, dict) else None
+    for index, metric in enumerate(metrics
+                                   if isinstance(metrics, list) else []):
         if not isinstance(metric, dict):
             continue
+        path = f"registry.metrics[{index}]"
         if metric.get("kind") == "histogram":
             for key in _HISTOGRAM_REQUIRED:
                 if key not in metric:
@@ -739,117 +705,69 @@ def validate_registry_dump(dump: dict) -> list[str]:
     return errors
 
 
-def validate_wallclock_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_wallclock.json`` report object.
+# Report validators check shape only -- whether a gate *passed* and an
+# equivalence block is clean is policy, enforced by each benchmark, the
+# ``*-bench`` CLI exit codes and the gates under ``tests/gates/``.
 
-    Checks the report envelope, every sweep entry, the naive baseline,
-    the speedup and equivalence blocks.  Shape only -- whether the
-    equivalence block is *clean* (``identical: true``) is policy, and
-    ``tests/gates/test_perf.py`` enforces it separately.
-    """
-    errors = _check(report, WALLCLOCK_SCHEMA, "wallclock")
-    if not isinstance(report, dict):
-        return errors
-    for index, entry in enumerate(report.get("sweep", [])
-                                  if isinstance(report.get("sweep"), list)
-                                  else []):
-        errors.extend(_check(entry, _SWEEP_ENTRY_SCHEMA,
-                             f"wallclock.sweep[{index}]"))
-    if "naive_baseline" in report:
-        errors.extend(_check(report["naive_baseline"], _SWEEP_ENTRY_SCHEMA,
-                             "wallclock.naive_baseline"))
-        baseline = report["naive_baseline"]
-        if isinstance(baseline, dict) and baseline.get("engine") not in (
-                None, "naive"):
-            errors.append("wallclock.naive_baseline: engine must be 'naive'")
-    if "speedup" in report:
-        errors.extend(_check(report["speedup"], _SPEEDUP_SCHEMA,
-                             "wallclock.speedup"))
-    if "equivalence" in report:
-        errors.extend(_check(report["equivalence"], _EQUIVALENCE_SCHEMA,
-                             "wallclock.equivalence"))
-    return errors
+def validate_wallclock_report(report: dict) -> list[str]:
+    """Validate a decoded ``BENCH_wallclock.json`` report object."""
+    return _check(report, WALLCLOCK_SCHEMA, "wallclock")
 
 
 def validate_fleet_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_fleet.json`` report object.
-
-    Checks the envelope, both timing blocks, the spin-up and cache
-    blocks and the parallel-vs-sequential equivalence block.  Shape
-    only -- whether the equivalence block is *clean* and the speedup
-    meets the >=2x gate is policy, enforced by the benchmark itself and
-    ``tests/gates/test_fleet.py``.
-    """
-    errors = _check(report, FLEET_SCHEMA, "fleet")
-    if not isinstance(report, dict):
-        return errors
-    for key in ("sequential", "parallel"):
-        if isinstance(report.get(key), dict):
-            errors.extend(_check(report[key], _FLEET_TIMING_SCHEMA,
-                                 f"fleet.{key}"))
-    if isinstance(report.get("spinup"), dict):
-        errors.extend(_check(report["spinup"], _FLEET_SPINUP_SCHEMA,
-                             "fleet.spinup"))
-    if isinstance(report.get("cache"), dict):
-        errors.extend(_check(report["cache"], _FLEET_CACHE_SCHEMA,
-                             "fleet.cache"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _FLEET_EQUIVALENCE_SCHEMA,
-                             "fleet.equivalence"))
-    return errors
+    """Validate a decoded ``BENCH_fleet.json`` report object."""
+    return _check(report, FLEET_SCHEMA, "fleet")
 
 
 def validate_incremental_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_incremental.json`` report object.
-
-    Checks the envelope, every dirty-fraction point, the speedup gate
-    and the equivalence block.  Shape only -- whether the gate *passed*
-    and the equivalence block is clean is policy, enforced by the
-    benchmark itself and ``tests/gates/test_incremental.py``.
-    """
-    errors = _check(report, INCREMENTAL_SCHEMA, "incremental")
-    if not isinstance(report, dict):
-        return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _INCREMENTAL_POINT_SCHEMA,
-                             f"incremental.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _INCREMENTAL_GATE_SCHEMA,
-                             "incremental.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _INCREMENTAL_EQUIVALENCE_SCHEMA,
-                             "incremental.equivalence"))
-    return errors
+    """Validate a decoded ``BENCH_incremental.json`` report object."""
+    return _check(report, INCREMENTAL_SCHEMA, "incremental")
 
 
 def validate_service_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_service.json`` report object.
+    """Validate a decoded ``BENCH_service.json`` report object."""
+    return _check(report, SERVICE_SCHEMA, "service")
 
-    Checks the envelope, every offered-load point, the concurrency gate
-    and the serviced-vs-sequential equivalence block.  Shape only --
-    whether the gate *passed* and the equivalence block is clean is
-    policy, enforced by the benchmark itself and
-    ``tests/gates/test_service.py``.
+
+def validate_snapshot_report(report: dict) -> list[str]:
+    """Validate a decoded ``BENCH_snapshot.json`` report object."""
+    return _check(report, SNAPSHOT_BENCH_SCHEMA, "snapshot")
+
+
+def validate_analysis_report(report: dict) -> list[str]:
+    """Validate a decoded ``repro.analysis/v1`` report object.
+
+    Shape only -- whether the verdicts are the *expected* ones for the
+    shipped profiles is policy, enforced by
+    ``tests/analysis/test_invariants.py``.
     """
-    errors = _check(report, SERVICE_SCHEMA, "service")
-    if not isinstance(report, dict):
+    return _check(report, ANALYSIS_SCHEMA, "analysis")
+
+
+def _check_envelope(document, schema, label: str, key_noun: str,
+                    payload_noun: str) -> list[str]:
+    """Envelope shape, hex blob keys with string payloads, and the
+    per-kind ``state`` keys of a full or delta snapshot document."""
+    errors = _check(document, schema, label)
+    if not isinstance(document, dict):
         return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _SERVICE_POINT_SCHEMA,
-                             f"service.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _SERVICE_GATE_SCHEMA,
-                             "service.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _SERVICE_EQUIVALENCE_SCHEMA,
-                             "service.equivalence"))
+    blobs = document.get("blobs")
+    if isinstance(blobs, dict):
+        for key, value in blobs.items():
+            if not (isinstance(key, str)
+                    and all(c in "0123456789abcdef" for c in key)):
+                errors.append(f"{label}.blobs: key {key!r} is not a hex "
+                              f"{key_noun}")
+            if not isinstance(value, str):
+                errors.append(f"{label}.blobs[{key!r}]: {payload_noun} "
+                              f"must be a base64 string")
+    state = document.get("state")
+    required = _SNAPSHOT_STATE_REQUIRED.get(document.get("kind"))
+    if isinstance(state, dict) and required is not None:
+        for key in required:
+            if key not in state:
+                errors.append(f"{label}.state: missing required key "
+                              f"{key!r} for kind {document['kind']!r}")
     return errors
 
 
@@ -861,27 +779,8 @@ def validate_snapshot(document: dict) -> list[str]:
     carries the top-level keys its ``kind`` requires.  Field-by-field
     consistency with a rebuilt object is the restore path's job.
     """
-    errors = _check(document, SNAPSHOT_SCHEMA, "snapshot")
-    if not isinstance(document, dict):
-        return errors
-    blobs = document.get("blobs")
-    if isinstance(blobs, dict):
-        for key, value in blobs.items():
-            if not (isinstance(key, str)
-                    and all(c in "0123456789abcdef" for c in key)):
-                errors.append(f"snapshot.blobs: key {key!r} is not a hex "
-                              f"fingerprint")
-            if not isinstance(value, str):
-                errors.append(f"snapshot.blobs[{key!r}]: image must be a "
-                              f"base64 string")
-    state = document.get("state")
-    required = _SNAPSHOT_STATE_REQUIRED.get(document.get("kind"))
-    if isinstance(state, dict) and required is not None:
-        for key in required:
-            if key not in state:
-                errors.append(f"snapshot.state: missing required key "
-                              f"{key!r} for kind {document['kind']!r}")
-    return errors
+    return _check_envelope(document, SNAPSHOT_SCHEMA, "snapshot",
+                           "fingerprint", "image")
 
 
 def validate_snapshot_delta(document: dict) -> list[str]:
@@ -893,99 +792,5 @@ def validate_snapshot_delta(document: dict) -> list[str]:
     plus the ``parent_id`` chain link.  Whether the parent actually
     matches is the materialization path's job.
     """
-    errors = _check(document, SNAPSHOT_DELTA_SCHEMA, "snapshot-delta")
-    if not isinstance(document, dict):
-        return errors
-    blobs = document.get("blobs")
-    if isinstance(blobs, dict):
-        for key, value in blobs.items():
-            if not (isinstance(key, str)
-                    and all(c in "0123456789abcdef" for c in key)):
-                errors.append(f"snapshot-delta.blobs: key {key!r} is not "
-                              f"a hex content address")
-            if not isinstance(value, str):
-                errors.append(f"snapshot-delta.blobs[{key!r}]: payload "
-                              f"must be a base64 string")
-    state = document.get("state")
-    required = _SNAPSHOT_STATE_REQUIRED.get(document.get("kind"))
-    if isinstance(state, dict) and required is not None:
-        for key in required:
-            if key not in state:
-                errors.append(f"snapshot-delta.state: missing required "
-                              f"key {key!r} for kind "
-                              f"{document['kind']!r}")
-    return errors
-
-
-def validate_snapshot_report(report: dict) -> list[str]:
-    """Validate a decoded ``BENCH_snapshot.json`` report object.
-
-    Checks the envelope, every dirty-fraction point, the speedup/bytes
-    gate and the delta-chain equivalence block.  Shape only -- whether
-    the gate *passed* and the equivalence block is clean is policy,
-    enforced by the benchmark itself.
-    """
-    errors = _check(report, SNAPSHOT_BENCH_SCHEMA, "snapshot")
-    if not isinstance(report, dict):
-        return errors
-    points = report.get("points")
-    for index, point in enumerate(points
-                                  if isinstance(points, list) else []):
-        errors.extend(_check(point, _SNAPSHOT_POINT_SCHEMA,
-                             f"snapshot.points[{index}]"))
-    if isinstance(report.get("gate"), dict):
-        errors.extend(_check(report["gate"], _SNAPSHOT_GATE_SCHEMA,
-                             "snapshot.gate"))
-    if isinstance(report.get("equivalence"), dict):
-        errors.extend(_check(report["equivalence"],
-                             _SNAPSHOT_EQUIVALENCE_SCHEMA,
-                             "snapshot.equivalence"))
-    return errors
-
-
-def validate_analysis_report(report: dict) -> list[str]:
-    """Validate a decoded ``repro.analysis/v1`` report object.
-
-    Checks the envelope, every per-profile invariant report and verdict,
-    and the lint section including each (waived) violation entry.  Shape
-    only -- whether the verdicts are the *expected* ones for the shipped
-    profiles is policy, enforced by ``tests/analysis/test_invariants.py``.
-    """
-    errors = _check(report, ANALYSIS_SCHEMA, "analysis")
-    if not isinstance(report, dict):
-        return errors
-    profiles = report.get("profiles")
-    for index, profile in enumerate(profiles
-                                    if isinstance(profiles, list) else []):
-        path = f"analysis.profiles[{index}]"
-        errors.extend(_check(profile, _PROFILE_REPORT_SCHEMA, path))
-        if not isinstance(profile, dict):
-            continue
-        verdicts = profile.get("verdicts")
-        for v_index, verdict in enumerate(verdicts
-                                          if isinstance(verdicts, list)
-                                          else []):
-            errors.extend(_check(verdict, _VERDICT_SCHEMA,
-                                 f"{path}.verdicts[{v_index}]"))
-    lint = report.get("lint")
-    if isinstance(lint, dict):
-        errors.extend(_check(lint, _LINT_REPORT_SCHEMA, "analysis.lint"))
-        for key in ("violations", "waived"):
-            entries = lint.get(key)
-            for index, entry in enumerate(entries
-                                          if isinstance(entries, list)
-                                          else []):
-                errors.extend(_check(entry, _LINT_VIOLATION_SCHEMA,
-                                     f"analysis.lint.{key}[{index}]"))
-    taint = report.get("taint")
-    if isinstance(taint, dict):
-        errors.extend(_check(taint, _TAINT_REPORT_SCHEMA,
-                             "analysis.taint"))
-        for key in ("violations", "waived"):
-            entries = taint.get(key)
-            for index, entry in enumerate(entries
-                                          if isinstance(entries, list)
-                                          else []):
-                errors.extend(_check(entry, _TAINT_VIOLATION_SCHEMA,
-                                     f"analysis.taint.{key}[{index}]"))
-    return errors
+    return _check_envelope(document, SNAPSHOT_DELTA_SCHEMA,
+                           "snapshot-delta", "content address", "payload")

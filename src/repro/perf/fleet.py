@@ -32,12 +32,13 @@ the dominant host hash entirely.  The cache is content-addressed by
 write-chain fingerprints, so a compromised member misses the cache and
 is detected exactly as on the seed path.
 
-``workers=1`` (or ``REPRO_FLEET_WORKERS=1``) falls back to one plain
-in-process ``Swarm`` -- the uncached sequential seed path that
-:func:`equivalence_check` and ``BENCH_fleet.json``'s gate compare
-against.  Everything here measures *host* time; simulated time lives in
-the shard swarms and is part of the equivalence invariant, never a
-knob.  See ``docs/fleet-scale.md``.
+``workers=1`` falls back to one plain in-process ``Swarm`` -- the
+uncached sequential seed path that :func:`equivalence_check` and
+``BENCH_fleet.json``'s gate compare against.  Either way every
+operation goes through one dispatch path, :meth:`FleetEngine.each`.
+Everything here measures *host* time; simulated time lives in the shard
+swarms and is part of the equivalence invariant, never a knob.  See
+``docs/fleet-scale.md``.
 """
 
 from __future__ import annotations
@@ -45,31 +46,25 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from ..core.resilience import RetryPolicy
+from ..core.resilience import JITTERED_RETRY, RetryPolicy
 from ..errors import ConfigurationError, SnapshotError
 from ..mcu.device import DeviceConfig
 from ..mcu.profiles import ProtectionProfile, ROAM_HARDENED
 from ..mcu.statecache import StateDigestCache
-from ..net.faults import BernoulliLoss, FaultPipeline, LatencyJitter
+from ..net.faults import lossy_link
 from ..obs.registry import MetricsRegistry
 from ..services.swarm import Swarm, SweepReport, fold_outcomes
-from .wallclock import host_info
+from .harness import bench_device_config, host_info
 
-__all__ = ["REPORT_SCHEMA_ID", "WORKERS_ENV", "FleetSpec", "FleetEngine",
-           "partition", "resolve_workers", "lossy_link",
-           "default_equivalence_spec", "equivalence_check", "build_report",
-           "write_report"]
+__all__ = ["REPORT_SCHEMA_ID", "FleetSpec", "FleetEngine", "partition",
+           "default_equivalence_spec", "equivalence_check", "build_report"]
 
 REPORT_SCHEMA_ID = "repro.perf.fleet/v1"
-
-#: Environment override for the worker count (CLI/bench default source).
-WORKERS_ENV = "REPRO_FLEET_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -78,10 +73,11 @@ class FleetSpec:
 
     The spec crosses the process boundary once per shard at spin-up;
     every field must therefore pickle, which is why ``adversary_factory``
-    must be a module-level callable (like :func:`lossy_link`), not a
-    lambda.  Two shards built from the same spec with disjoint
-    ``member_indices`` are, member for member, the same fleet as one
-    in-process build of the whole spec.
+    must be a module-level callable (like
+    :func:`~repro.net.faults.lossy_link`), not a lambda.  Two shards
+    built from the same spec with disjoint ``member_indices`` are,
+    member for member, the same fleet as one in-process build of the
+    whole spec.
     """
 
     size: int
@@ -144,42 +140,6 @@ def partition(size: int, shards: int) -> list[range]:
     return blocks
 
 
-def resolve_workers(workers: int | None = None, *,
-                    size: int | None = None) -> int:
-    """Worker count: explicit arg > ``REPRO_FLEET_WORKERS`` > CPU count.
-
-    Always at least 1 and never more than ``size`` (a shard with no
-    members is pointless).
-    """
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigurationError("fleet needs at least one worker")
-    if size is not None:
-        workers = min(workers, size)
-    return workers
-
-
-def lossy_link(index: int, device_id: str):
-    """Per-member fault pipeline keyed on device identity.
-
-    Module-level (picklable) so specs carrying it survive the trip into
-    shard workers; seeded per device so the fault schedule a member sees
-    is identical whether it lives in a shard or in one big swarm.
-    """
-    return FaultPipeline(
-        BernoulliLoss(0.2, seed=f"fleet-fault:{device_id}"),
-        LatencyJitter(0.01, seed=f"fleet-jitter:{device_id}"))
-
-
 # ---------------------------------------------------------------------------
 # Shard worker side.  Each shard runs in a dedicated single-worker
 # executor; the Swarm lives in this module-level slot between calls so
@@ -195,86 +155,50 @@ def _shard_init(spec: FleetSpec, indices: tuple) -> None:
                         state_cache=StateDigestCache())
 
 
-def _shard_ready() -> int:
-    return len(_SHARD)
+def _shard_call(fn, *args, **kwargs):
+    return fn(_SHARD, *args, **kwargs)
 
 
-def _shard_sweep(stagger_seconds: float, retry: RetryPolicy | None) -> list:
-    return _SHARD.sweep_outcomes(stagger_seconds=stagger_seconds,
-                                 retry=retry)
+# Per-shard operations: module-level so they pickle into the workers.
+
+def _registry_dump(swarm: Swarm) -> dict:
+    return swarm.merged_registry().dump()
 
 
-def _shard_states() -> dict:
-    return _SHARD.device_states()
+def _cache_stats(swarm: Swarm) -> dict:
+    cache = swarm.state_cache
+    return cache.stats() if cache is not None else {}
 
 
-def _shard_battery() -> dict:
-    return _SHARD.fleet_battery_report()
-
-
-def _shard_total_attestations() -> int:
-    return _SHARD.total_attestations()
-
-
-def _shard_merged_registry_dump() -> dict:
-    return _SHARD.merged_registry().dump()
-
-
-def _shard_trace_segments() -> list:
-    return _SHARD.trace_segments()
-
-
-def _shard_cache_stats() -> dict:
-    return _SHARD.state_cache.stats()
-
-
-def _shard_snapshot() -> dict:
-    """Capture the resident shard: its swarm payload plus its own
-    deduplicated blob map (merged collision-checked by the parent)."""
+def _capture(swarm: Swarm, base=None) -> tuple:
+    """Capture one shard (as a delta when ``base``, a
+    :class:`~repro.snapshot.DeltaBase`, is given) with its own
+    deduplicated blob store, merged collision-checked by the caller."""
     from ..snapshot import BlobStore, snapshot_swarm
     blobs = BlobStore()
-    return {"swarm": snapshot_swarm(_SHARD, blobs),
-            "blobs": blobs.encode()}
-
-
-def _shard_restore(state: dict, blobs_encoded: dict) -> None:
-    """Overwrite the resident shard (built at executor init) with
-    captured state, including its state-digest cache and hit/miss
-    counters -- spin-up accounting is replaced, not added to."""
-    from ..snapshot import BlobStore, restore_swarm
-    restore_swarm(_SHARD, state, BlobStore.decode(blobs_encoded))
-
-
-def _shard_snapshot_delta(base) -> dict:
-    """Capture the resident shard as a delta against its slice of a
-    parent checkpoint.  ``base`` (a :class:`~repro.snapshot.DeltaBase`)
-    ships pre-subset: this shard's region records, chunk-digest indexes
-    and fallback images plus its parent log counts -- never the
-    parent's log entries -- so O(shard), not O(fleet history), crosses
-    the process boundary."""
-    from ..snapshot import BlobStore, snapshot_swarm
-    blobs = BlobStore()
-    return {"swarm": snapshot_swarm(_SHARD, blobs, parent=base),
-            "blobs": blobs.encode()}
+    return snapshot_swarm(swarm, blobs, parent=base), blobs
 
 
 class FleetEngine:
     """Sharded, cached drop-in for a sequential fleet ``Swarm``.
 
     ``workers > 1``: the fleet is split by :func:`partition` into that
-    many contiguous shards, each resident in its own worker process with
-    its own :class:`StateDigestCache`.  ``workers == 1``: one plain
-    uncached in-process :class:`Swarm` -- the sequential seed path,
-    bit-for-bit.  The engine mirrors the swarm's reading API
-    (``sweep``/``device_states``/``total_attestations``/...), merging
-    shard answers in shard order.
+    many contiguous shards (at most one per member), each resident in
+    its own worker process with its own :class:`StateDigestCache`.
+    ``workers == 1``: one plain uncached in-process :class:`Swarm` --
+    the sequential seed path, bit-for-bit.  The engine mirrors the
+    swarm's reading API (``sweep``/``device_states``/
+    ``total_attestations``/...), merging shard answers in shard order;
+    everything runs through :meth:`each`.
 
     Use as a context manager, or call :meth:`close` to release workers.
     """
 
-    def __init__(self, spec: FleetSpec, *, workers: int | None = None):
+    def __init__(self, spec: FleetSpec, *, workers: int):
+        if workers < 1:
+            raise ConfigurationError("fleet needs at least one worker")
         self.spec = spec
-        self.workers = resolve_workers(workers, size=spec.size)
+        self.workers = min(workers, spec.size)
         self.spinup_seconds: float | None = None
         self.sweeps_run = 0
         self._swarm: Swarm | None = None
@@ -287,6 +211,7 @@ class FleetEngine:
         if self._swarm is not None or self._executors is not None:
             return self
         begin = time.perf_counter()
+        blocks = partition(self.spec.size, self.workers)
         if self.workers == 1:
             self._swarm = self.spec.build()
         else:
@@ -295,13 +220,11 @@ class FleetEngine:
                 ProcessPoolExecutor(max_workers=1, mp_context=context,
                                     initializer=_shard_init,
                                     initargs=(self.spec, tuple(block)))
-                for block in partition(self.spec.size, self.workers)]
+                for block in blocks]
             # Worker processes start on first submit; submitting to
             # every executor before collecting any result makes all
             # shards build concurrently.
-            built = sum(f.result() for f in
-                        [pool.submit(_shard_ready)
-                         for pool in self._executors])
+            built = sum(self._per_shard(len, [()] * len(blocks)))
             if built != self.spec.size:
                 raise ConfigurationError(
                     f"shards built {built} members, expected "
@@ -322,10 +245,29 @@ class FleetEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _gather(self, fn, *args) -> list:
-        """Submit ``fn`` to every shard, collect results in shard order."""
-        return [f.result() for f in
-                [pool.submit(fn, *args) for pool in self._executors]]
+    # -- the one dispatch path -------------------------------------------
+
+    def _per_shard(self, fn, shard_args: list, **kwargs) -> list:
+        """``fn(swarm, *shard_args[i], **kwargs)`` on shard ``i``; shards
+        run concurrently, results come back in shard order."""
+        if self._swarm is not None:
+            return [fn(self._swarm, *args, **kwargs) for args in shard_args]
+        futures = [pool.submit(_shard_call, fn, *args, **kwargs)
+                   for pool, args in zip(self._executors, shard_args)]
+        return [future.result() for future in futures]
+
+    def each(self, fn, *args, **kwargs) -> list:
+        """Run ``fn(swarm, *args, **kwargs)`` on every shard's resident
+        swarm (the one in-process swarm when ``workers == 1``) and
+        return the results in shard order.
+
+        ``fn`` must be a module-level callable so it pickles into the
+        shard workers; member indices are global, so a per-member
+        operation applied shard by shard equals the same operation on
+        one in-process fleet.
+        """
+        self.start()
+        return self._per_shard(fn, [args] * self.workers, **kwargs)
 
     # -- the swarm API, merged ------------------------------------------
 
@@ -337,57 +279,40 @@ class FleetEngine:
         """One fleet-wide sweep; shards run concurrently, outcomes fold
         in shard (= member) order through the same reduction the
         sequential path uses."""
-        self.start()
-        if self._swarm is not None:
-            report = self._swarm.sweep(stagger_seconds=stagger_seconds,
-                                       retry=retry)
-        else:
-            outcomes = [outcome
-                        for shard in self._gather(_shard_sweep,
-                                                  stagger_seconds, retry)
-                        for outcome in shard]
-            report = fold_outcomes(outcomes)
+        outcomes = [outcome
+                    for shard in self.each(Swarm.sweep_outcomes,
+                                           stagger_seconds=stagger_seconds,
+                                           retry=retry)
+                    for outcome in shard]
         self.sweeps_run += 1
-        return report
+        return fold_outcomes(outcomes)
 
     def device_states(self) -> dict:
-        self.start()
-        if self._swarm is not None:
-            return self._swarm.device_states()
         states: dict = {}
-        for shard in self._gather(_shard_states):
+        for shard in self.each(Swarm.device_states):
             states.update(shard)
         return states
 
     def fleet_battery_report(self) -> dict:
-        self.start()
-        if self._swarm is not None:
-            return self._swarm.fleet_battery_report()
         merged: dict = {}
-        for shard in self._gather(_shard_battery):
+        for shard in self.each(Swarm.fleet_battery_report):
             merged.update(shard)
         return merged
 
     def total_attestations(self) -> int:
-        self.start()
-        if self._swarm is not None:
-            return self._swarm.total_attestations()
-        return sum(self._gather(_shard_total_attestations))
+        return sum(self.each(Swarm.total_attestations))
 
     def merged_registry(self) -> MetricsRegistry:
         """One fleet registry, folded from shard pre-merged dumps.
 
-        Each shard merges its own members in-process and ships a single
-        dump; registry folding is exactly order-independent (error-free
+        Each shard merges its own members and ships a single dump;
+        registry folding is exactly order-independent (error-free
         compensated float summation, with the sub-ulp remainder carried
         in the dump's residual terms), so the shard-tree fold is
         byte-identical to the sequential member-order fold.
         """
-        self.start()
-        if self._swarm is not None:
-            return self._swarm.merged_registry()
         merged = MetricsRegistry()
-        for dump in self._gather(_shard_merged_registry_dump):
+        for dump in self.each(_registry_dump):
             merged.merge(MetricsRegistry.from_dump(dump))
         return merged
 
@@ -399,12 +324,9 @@ class FleetEngine:
         interleaves them sweep by sweep in shard order, which is exactly
         the order a single in-process build of the whole fleet produces.
         """
-        self.start()
-        if self._swarm is not None:
-            return self._swarm.merged_trace_records()
         records: list = []
-        shard_segments = self._gather(_shard_trace_segments)
-        for row in zip_longest(*shard_segments, fillvalue=[]):
+        for row in zip_longest(*self.each(Swarm.trace_segments),
+                               fillvalue=[]):
             for segment in row:
                 for record in segment:
                     record["seq"] = len(records)
@@ -414,16 +336,26 @@ class FleetEngine:
     def cache_stats(self) -> dict:
         """Summed :class:`StateDigestCache` counters across shards (all
         zero on the ``workers=1`` uncached seed path)."""
-        self.start()
-        if self._swarm is not None:
-            return {"hits": 0, "misses": 0, "evictions": 0, "entries": 0}
         totals = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0}
-        for stats in self._gather(_shard_cache_stats):
+        for stats in self.each(_cache_stats):
             for key in totals:
-                totals[key] += stats[key]
+                totals[key] += stats.get(key, 0)
         return totals
 
     # -- checkpoint / restore -------------------------------------------
+
+    def _check_layout(self, state: dict, what: str, hint: str) -> None:
+        """Refuse a captured fleet state whose shards are not this
+        engine's shards."""
+        if state["workers"] != self.workers:
+            raise SnapshotError(
+                f"worker-count mismatch: {what} has {state['workers']} "
+                f"shard(s), engine resolved {self.workers}; {hint}")
+        captured = [shard["indices"] for shard in state["shards"]]
+        blocks = partition(self.spec.size, self.workers)
+        if captured != [list(block) for block in blocks]:
+            raise SnapshotError(
+                f"shard partition mismatch between {what} and engine")
 
     def snapshot(self, *, parent: dict | None = None) -> dict:
         """Capture the whole engine as one ``fleet`` document.
@@ -445,66 +377,36 @@ restore>` accepts the same document for sequential resume.
         """
         from ..snapshot import (BlobStore, DeltaBase, document_id,
                                 make_delta_document, make_document,
-                                parent_blob_keys, snapshot_swarm,
-                                unwrap_parent)
-        self.start()
-        blobs = BlobStore()
-        blocks = partition(self.spec.size, self.workers)
+                                parent_blob_keys, unwrap_parent)
         if parent is None:
-            if self._swarm is not None:
-                shards = [{"indices": [index for block in blocks
-                                       for index in block],
-                           "swarm": snapshot_swarm(self._swarm, blobs)}]
-            else:
-                shards = []
-                for block, shard in zip(blocks,
-                                        self._gather(_shard_snapshot)):
-                    blobs.merge(BlobStore.decode(shard["blobs"]))
-                    shards.append({"indices": list(block),
-                                   "swarm": shard["swarm"]})
-            state = {"workers": self.workers,
-                     "sweeps_run": self.sweeps_run, "shards": shards}
-            return make_document("fleet", state, blobs)
-
-        parent_state, parent_blobs = unwrap_parent(parent, "fleet")
-        if parent_state["workers"] != self.workers:
-            raise SnapshotError(
-                f"delta parent has {parent_state['workers']} shard(s), "
-                f"engine resolved {self.workers}; delta capture needs "
-                f"matching shard layouts")
-        captured = [shard["indices"] for shard in parent_state["shards"]]
-        if captured != [list(block) for block in blocks]:
-            raise SnapshotError(
-                "shard partition mismatch between delta parent and "
-                "engine")
-        if self._swarm is not None:
-            base = DeltaBase.for_swarm_state(
-                parent_state["shards"][0]["swarm"], parent_blobs)
-            shards = [{"indices": captured[0],
-                       "swarm": snapshot_swarm(self._swarm, blobs,
-                                               parent=base)}]
+            captured = self.each(_capture)
         else:
-            futures = []
-            for pool, parent_shard in zip(self._executors,
-                                          parent_state["shards"]):
-                swarm_state = parent_shard["swarm"]
-                base = DeltaBase.for_swarm_state(
-                    swarm_state,
-                    parent_blobs.subset(parent_blob_keys(swarm_state)))
-                futures.append(pool.submit(_shard_snapshot_delta, base))
-            shards = []
-            for block, future in zip(blocks, futures):
-                shard = future.result()
-                blobs.merge(BlobStore.decode(shard["blobs"]))
-                shards.append({"indices": list(block),
-                               "swarm": shard["swarm"]})
+            parent_state, parent_blobs = unwrap_parent(parent, "fleet")
+            self._check_layout(parent_state, "delta parent",
+                               "delta capture needs matching shard "
+                               "layouts")
+            captured = self._per_shard(_capture, [
+                (DeltaBase.for_swarm_state(
+                    shard["swarm"],
+                    parent_blobs.subset(parent_blob_keys(shard["swarm"]))),)
+                for shard in parent_state["shards"]])
+        blobs = BlobStore()
+        shards = []
+        for block, (swarm_state, shard_blobs) in zip(
+                partition(self.spec.size, self.workers), captured):
+            blobs.merge(shard_blobs)
+            shards.append({"indices": list(block), "swarm": swarm_state})
         state = {"workers": self.workers, "sweeps_run": self.sweeps_run,
                  "shards": shards}
+        if parent is None:
+            return make_document("fleet", state, blobs)
         return make_delta_document("fleet", state, blobs,
                                    document_id(parent))
 
     def restore(self, document: dict) -> None:
-        """Overwrite this engine's shards from a ``fleet`` document.
+        """Overwrite this engine's shards from a ``fleet`` document,
+        including their state-digest caches and hit/miss counters --
+        spin-up accounting is replaced, not added to.
 
         The engine must have been created with the same spec and
         resolve to the same worker count as the captured one (shard
@@ -512,26 +414,14 @@ restore>` accepts the same document for sequential resume.
         fleet document on different hardware, restore it into a
         sequential :class:`~repro.services.swarm.Swarm` instead.
         """
-        from ..snapshot import unwrap_document
+        from ..snapshot import restore_swarm, unwrap_document
         state, blobs = unwrap_document(document, "fleet")
+        self._check_layout(state, "snapshot",
+                           "restore into a sequential Swarm to "
+                           "repartition")
         self.start()
-        if state["workers"] != self.workers:
-            raise SnapshotError(
-                f"worker-count mismatch: snapshot has {state['workers']} "
-                f"shard(s), engine resolved {self.workers}; restore into "
-                f"a sequential Swarm to repartition")
-        blocks = partition(self.spec.size, self.workers)
-        captured = [shard["indices"] for shard in state["shards"]]
-        if captured != [list(block) for block in blocks]:
-            raise SnapshotError("shard partition mismatch between "
-                                "snapshot and engine")
-        if self._swarm is not None:
-            from ..snapshot import restore_swarm
-            restore_swarm(self._swarm, state["shards"][0]["swarm"], blobs)
-        else:
-            encoded = blobs.encode()
-            for pool, shard in zip(self._executors, state["shards"]):
-                pool.submit(_shard_restore, shard["swarm"], encoded).result()
+        self._per_shard(restore_swarm, [(shard["swarm"], blobs)
+                                        for shard in state["shards"]])
         self.sweeps_run = state["sweeps_run"]
 
 
@@ -548,8 +438,7 @@ def default_equivalence_spec(size: int = 8) -> FleetSpec:
         device_config=DeviceConfig(ram_size=8 * 1024,
                                    flash_size=16 * 1024,
                                    app_size=2 * 1024),
-        retry=RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
-                          base_backoff_seconds=1.0, jitter_fraction=0.5),
+        retry=JITTERED_RETRY,
         adversary_factory=lossy_link,
         observe=True,
         seed="fleet-equivalence")
@@ -598,21 +487,8 @@ def equivalence_check(spec: FleetSpec | None = None, *, workers: int = 2,
             "identical": not mismatched, "mismatched_fields": mismatched}
 
 
-def _bench_spec(fleet_size: int, ram_kb: int) -> FleetSpec:
-    """Members whose writable memory (RAM plus an equally large flash,
-    both capped by the 1 MB memory-map windows) maximises the host-hash
-    share of each attestation -- the work the cache removes."""
-    flash_kb = min(ram_kb, 1024)
-    return FleetSpec(
-        size=fleet_size,
-        device_config=DeviceConfig(ram_size=ram_kb * 1024,
-                                   flash_size=flash_kb * 1024,
-                                   app_size=2 * 1024),
-        seed="fleet-bench")
-
-
 def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
-                 sweeps: int = 2, workers: int | None = None,
+                 sweeps: int = 2, workers: int = 2,
                  equivalence_size: int = 6) -> dict:
     """Assemble the full ``BENCH_fleet.json`` payload.
 
@@ -625,11 +501,16 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
 
     The parallel engine runs first: shard workers fork before the big
     sequential swarm exists, so copy-on-write faults over the parent
-    heap do not tax shard spin-up.
+    heap do not tax shard spin-up.  Members are
+    :func:`~.harness.bench_device_config` devices, whose host hash
+    dominates each attestation -- the work the cache removes.
     """
-    resolved = resolve_workers(workers, size=fleet_size)
-    resolved = max(2, min(resolved, fleet_size))
-    spec = _bench_spec(fleet_size, ram_kb)
+    if workers < 1:
+        raise ConfigurationError("fleet needs at least one worker")
+    resolved = max(2, min(workers, fleet_size))
+    spec = FleetSpec(size=fleet_size,
+                     device_config=bench_device_config(ram_kb),
+                     seed="fleet-bench")
 
     with FleetEngine(spec, workers=resolved) as engine:
         engine.start()
@@ -700,9 +581,3 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
         "equivalence": equivalence,
     }
 
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path

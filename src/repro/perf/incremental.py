@@ -29,25 +29,21 @@ part of the equivalence invariant, never a knob.  See
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
-from ..core.resilience import RetryPolicy
-from ..crypto.rng import DeterministicRng
-from ..crypto.sha1 import SHA1
+from ..core.resilience import JITTERED_RETRY, RetryPolicy
 from ..errors import ConfigurationError
 from ..incremental import DEFAULT_ARITY, DEFAULT_CHUNK_SIZE
-from ..mcu.device import DeviceConfig
 from ..mcu.statecache import StateDigestCache
+from ..net.faults import lossy_link
 from ..services.swarm import Swarm
-from .fleet import lossy_link
-from .wallclock import host_info
+from .harness import (apply_update, bench_device_config, host_info,
+                      learn_update)
 
 __all__ = ["REPORT_SCHEMA_ID", "DEFAULT_DIRTY_FRACTIONS",
            "GATE_DIRTY_FRACTION", "GATE_THRESHOLD", "build_swarm",
-           "apply_update", "learn_update", "scenario_fingerprint",
-           "measure_point",
-           "equivalence_check", "build_report", "write_report"]
+           "scenario_fingerprint", "measure_point", "equivalence_check",
+           "build_report"]
 
 REPORT_SCHEMA_ID = "repro.perf.incremental/v1"
 
@@ -66,115 +62,22 @@ def build_swarm(size: int, ram_kb: int, *, incremental: bool,
                 seed: str = "incremental-bench",
                 adversary_factory=None, retry: RetryPolicy | None = None,
                 observe: bool = False) -> Swarm:
-    """One benchmark fleet: per-member derived keys (so HMAC midstate
-    pinning has real per-member work to batch), HMAC-SHA1 response
-    authentication, and RAM plus an equally large flash window (both
-    capped by the 1 MB memory map) to maximise the hash share the
-    incremental path removes.  Full-walk and incremental fleets share
-    everything but the ``incremental`` flag -- both get an unbounded
-    shared :class:`StateDigestCache`, so the baseline is the PR 5 cached
-    path, not a strawman.
+    """One benchmark fleet of :func:`~.harness.bench_device_config`
+    members: per-member derived keys (so HMAC midstate pinning has real
+    per-member work to batch) and HMAC-SHA1 response authentication.
+    Full-walk and incremental fleets share everything but the
+    ``incremental`` flag -- both get an unbounded shared
+    :class:`StateDigestCache`, so the baseline is the PR 5 cached path,
+    not a strawman.
     """
-    flash_kb = min(ram_kb, 1024)
     return Swarm(size,
-                 device_config=DeviceConfig(ram_size=ram_kb * 1024,
-                                            flash_size=flash_kb * 1024,
-                                            app_size=2 * 1024),
+                 device_config=bench_device_config(ram_kb),
                  auth_scheme="hmac-sha1",
                  master_key=_MASTER_KEY,
                  state_cache=StateDigestCache(max_entries=0),
                  incremental=incremental,
                  adversary_factory=adversary_factory,
                  retry=retry, observe=observe, seed=seed)
-
-
-def _attested_windows(device) -> list[tuple[object, int, int]]:
-    """(region, region-relative window start, window size) per attested
-    span."""
-    windows = []
-    for start, end in device.attested_spans():
-        if end <= start:
-            continue
-        region = device.memory.find(start)
-        windows.append((region, start - region.start, end - start))
-    return windows
-
-
-def apply_update(swarm: Swarm, round_index: int,
-                 dirty_fraction: float) -> int:
-    """Deliver one fleet-wide OTA-style update round; returns the bytes
-    rewritten per member.  Writes are whole digest-tree leaf chunks
-    (:data:`~repro.incremental.DEFAULT_CHUNK_SIZE`).
-
-    Content is derived from the round index alone, so after the round
-    every member's attested memory is byte-identical again; each member
-    receives its chunks in a member-specific shuffled order and with its
-    first chunk fragmented at a member-specific packet boundary (real
-    distributors stripe and fragment updates), so every member's *write
-    history* -- and therefore its write-chain fingerprint -- is
-    guaranteed unique (shuffles of a small dirty set can collide; the
-    fragmentation offset cannot).  Writes go through ``region.load``
-    (host-side provisioning, untimed), the same path a planted
-    compromise uses, so nothing here can bypass fingerprint or
-    digest-tree accounting.
-    """
-    if not 0.0 < dirty_fraction <= 1.0:
-        raise ConfigurationError("dirty_fraction must be in (0, 1]")
-    chunk_size = DEFAULT_CHUNK_SIZE
-    payloads: dict[tuple[str, int], bytes] = {}
-    per_member = 0
-    for member in swarm.members:
-        windows = _attested_windows(member.session.device)
-        per_member = 0
-        fragmented = False
-        for region, win_start, win_size in windows:
-            chunks = (win_size + chunk_size - 1) // chunk_size
-            dirty = max(1, int(dirty_fraction * chunks + 0.5))
-            dirty = min(dirty, chunks)
-            order = list(range(dirty))
-            DeterministicRng(
-                f"ota-order:{member.index}:{round_index}:{region.name}"
-            ).shuffle(order)
-            content_rng = None
-            for chunk in order:
-                offset = win_start + chunk * chunk_size
-                length = min(chunk_size, win_size - chunk * chunk_size)
-                payload = payloads.get((region.name, chunk))
-                if payload is None:
-                    if content_rng is None:
-                        content_rng = DeterministicRng(
-                            f"ota-content:{round_index}:{region.name}")
-                    payload = content_rng.substream(str(chunk)).bytes(length)
-                    payloads[(region.name, chunk)] = payload
-                if not fragmented and length >= 2:
-                    split = 1 + member.index % (length - 1)
-                    region.load(offset, payload[:split])
-                    region.load(offset + split, payload[split:])
-                    fragmented = True
-                else:
-                    region.load(offset, payload)
-                per_member += length
-    return per_member
-
-
-def learn_update(swarm: Swarm) -> bytes:
-    """Teach every member's verifier the expected post-update digest.
-
-    The verifier distributed the update, so it knows the bytes; this is
-    the OTA reference-rotation flow of
-    :meth:`repro.core.verifier.Verifier.learn_reference`.  The digest is
-    computed host-side from one clean member's attested bytes (all
-    members are byte-identical after :func:`apply_update`) -- verifier
-    knowledge, no simulated work, no prover-side cache warming.
-    """
-    device = swarm.members[0].session.device
-    digest = SHA1()
-    for region, win_start, win_size in _attested_windows(device):
-        digest.update(region.raw_read(win_start, win_size))
-    value = digest.digest()
-    for member in swarm.members:
-        member.session.verifier.learn_reference(value)
-    return value
 
 
 def scenario_fingerprint(swarm: Swarm) -> dict:
@@ -238,14 +141,13 @@ def equivalence_check(*, size: int = 6, sweeps: int = 3,
         untrusted (``detected``) -- the cache must never mask a
         compromise.
     """
-    retry = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
-                        base_backoff_seconds=1.0, jitter_fraction=0.5)
     scenarios: dict[str, dict] = {}
     identical = True
     plant = size - 1
     for name, kwargs, drive_kwargs in (
             ("honest", {}, {"dirty_fraction": dirty_fraction}),
-            ("faulted", {"adversary_factory": lossy_link, "retry": retry,
+            ("faulted", {"adversary_factory": lossy_link,
+                         "retry": JITTERED_RETRY,
                          "observe": True},
              {"dirty_fraction": dirty_fraction}),
             ("compromised", {}, {"dirty_fraction": dirty_fraction,
@@ -380,9 +282,3 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 1024,
         "equivalence": equivalence,
     }
 
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path

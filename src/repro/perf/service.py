@@ -26,16 +26,15 @@ The report (``BENCH_service.json``) carries:
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
 from ..mcu.device import DeviceConfig
 from ..mcu.statecache import StateDigestCache
 from ..services.attestd import AttestationService, build_schedule
-from .wallclock import host_info
+from .harness import host_info
 
 __all__ = ["REPORT_SCHEMA_ID", "run_load_point", "equivalence_check",
-           "build_report", "write_report"]
+           "build_report"]
 
 REPORT_SCHEMA_ID = "repro.perf.service/v1"
 
@@ -201,9 +200,3 @@ def build_report(*, size: int = 1024, tenants: int = 4, backends: int = 8,
         "equivalence": equivalence,
     }
 
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path

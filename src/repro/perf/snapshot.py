@@ -37,24 +37,18 @@ part of the equivalence invariant, never a knob.  See
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 
-from ..crypto.rng import DeterministicRng
-from ..crypto.sha1 import SHA1
 from ..errors import ConfigurationError
 from ..incremental import DEFAULT_CHUNK_SIZE
-from ..mcu.device import DeviceConfig
 from ..snapshot import materialize_chain
-from . import fleet as fleet_mod
 from .fleet import FleetEngine, FleetSpec
-from .incremental import _attested_windows, apply_update, learn_update
-from .wallclock import host_info
+from .harness import (apply_update, bench_device_config, host_info,
+                      learn_update)
 
 __all__ = ["REPORT_SCHEMA_ID", "DEFAULT_POINTS", "GATE_DIRTY_FRACTION",
            "GATE_SPEEDUP_THRESHOLD", "GATE_BYTES_THRESHOLD",
-           "apply_unique_update", "learn_unique_update", "measure_point",
-           "equivalence_check", "build_report", "write_report"]
+           "measure_point", "equivalence_check", "build_report"]
 
 REPORT_SCHEMA_ID = "repro.perf.snapshot/v1"
 
@@ -77,92 +71,20 @@ _MASTER_KEY = b"snapshot-bench-master-key"
 def _bench_spec(fleet_size: int, ram_kb: int, *, observe: bool = False,
                 seed: str = "snapshot-bench") -> FleetSpec:
     """Members mirroring the incremental benchmark fleet: per-member
-    derived HMAC-SHA1 keys, RAM plus an equally large flash window, and
-    digest trees on (``incremental=True``) -- delta capture diffs the
-    same trees the incremental sweep path maintains."""
-    flash_kb = min(ram_kb, 1024)
-    return FleetSpec(
-        size=fleet_size,
-        device_config=DeviceConfig(ram_size=ram_kb * 1024,
-                                   flash_size=flash_kb * 1024,
-                                   app_size=2 * 1024),
-        auth_scheme="hmac-sha1",
-        master_key=_MASTER_KEY,
-        observe=observe,
-        incremental=True,
-        seed=seed)
+    derived HMAC-SHA1 keys, :func:`~.harness.bench_device_config`
+    memory, and digest trees on (``incremental=True``) -- delta capture
+    diffs the same trees the incremental sweep path maintains."""
+    return FleetSpec(size=fleet_size,
+                     device_config=bench_device_config(ram_kb),
+                     auth_scheme="hmac-sha1", master_key=_MASTER_KEY,
+                     observe=observe, incremental=True, seed=seed)
 
 
-def apply_unique_update(swarm, round_index: int,
-                        dirty_fraction: float) -> int:
-    """One update round of member-*unique* content; returns the bytes
-    rewritten per member, in whole digest-tree leaf chunks.
-
-    Unlike :func:`repro.perf.incremental.apply_update`, the payload is
-    derived from the member's global index as well as the round, so no
-    two members share a single post-update byte -- content-addressed
-    chunk storage dedups nothing across the fleet and every stored
-    chunk is unique.  Same ``region.load`` provisioning path, so
-    fingerprints and digest trees account for every write.
-    """
-    if not 0.0 < dirty_fraction <= 1.0:
-        raise ConfigurationError("dirty_fraction must be in (0, 1]")
-    chunk_size = DEFAULT_CHUNK_SIZE
-    per_member = 0
-    for member in swarm.members:
-        per_member = 0
-        for region, win_start, win_size in _attested_windows(
-                member.session.device):
-            chunks = (win_size + chunk_size - 1) // chunk_size
-            dirty = min(chunks, max(1, int(dirty_fraction * chunks + 0.5)))
-            rng = DeterministicRng(
-                f"unique-ota:{member.index}:{round_index}:{region.name}")
-            for chunk in range(dirty):
-                offset = win_start + chunk * chunk_size
-                length = min(chunk_size, win_size - chunk * chunk_size)
-                region.load(offset, rng.substream(str(chunk)).bytes(length))
-                per_member += length
-    return per_member
-
-
-def learn_unique_update(swarm) -> None:
-    """Teach each verifier its *own* member's post-update digest (the
-    per-member flavour of
-    :func:`repro.perf.incremental.learn_update` -- with unique content
-    there is no fleet-shared reference to share)."""
-    for member in swarm.members:
-        device = member.session.device
-        digest = SHA1()
-        for region, win_start, win_size in _attested_windows(device):
-            digest.update(region.raw_read(win_start, win_size))
-        member.session.verifier.learn_reference(digest.digest())
-
-
-def _apply_round(swarm, round_index: int, dirty_fraction: float,
-                 shared: bool) -> None:
-    if shared:
-        apply_update(swarm, round_index, dirty_fraction)
-        learn_update(swarm)
-    else:
-        apply_unique_update(swarm, round_index, dirty_fraction)
-        learn_unique_update(swarm)
-
-
-def _shard_update(round_index: int, dirty_fraction: float,
-                  shared: bool) -> None:
-    """Run one update round on the resident shard swarm (member indices
-    are global, so shard-local updates are byte-for-byte the updates a
-    single in-process fleet would apply)."""
-    _apply_round(fleet_mod._SHARD, round_index, dirty_fraction, shared)
-
-
-def _update_engine(engine: FleetEngine, round_index: int,
-                   dirty_fraction: float, shared: bool) -> None:
-    engine.start()
-    if engine._swarm is not None:
-        _apply_round(engine._swarm, round_index, dirty_fraction, shared)
-    else:
-        engine._gather(_shard_update, round_index, dirty_fraction, shared)
+def _update(engine: FleetEngine, round_index: int, dirty_fraction: float,
+            shared: bool) -> None:
+    """One update round on every shard, then the verifiers learn it."""
+    engine.each(apply_update, round_index, dirty_fraction, shared=shared)
+    engine.each(learn_update, shared=shared)
 
 
 def _canonical(document: dict) -> str:
@@ -189,7 +111,7 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
                        seed=f"snapshot-bench:{dirty_fraction}:{flavour}")
     with FleetEngine(spec, workers=workers) as engine:
         engine.sweep()                      # settle spin-up, untimed
-        _update_engine(engine, 0, dirty_fraction, shared)
+        _update(engine, 0, dirty_fraction, shared)
         engine.sweep()                      # warm-up round, untimed
         root = engine.snapshot()            # full parent, untimed
         chain = [root, engine.snapshot(parent=root)]    # first delta
@@ -199,7 +121,7 @@ def measure_point(fleet_size: int, ram_kb: int, dirty_fraction: float, *,
         delta_bytes = 0
         last_full = None
         for round_index in range(1, rounds + 1):
-            _update_engine(engine, round_index, dirty_fraction, shared)
+            _update(engine, round_index, dirty_fraction, shared)
             engine.sweep()
             begin = time.perf_counter()
             last_full = engine.snapshot()
@@ -249,7 +171,7 @@ def equivalence_check(*, size: int = 8, workers: int = 2, rounds: int = 3,
         engine.sweep()
         chain = [engine.snapshot()]
         for round_index in range(rounds):
-            _update_engine(engine, round_index, dirty_fraction, True)
+            _update(engine, round_index, dirty_fraction, True)
             engine.sweep()
             chain.append(engine.snapshot(parent=chain[-1]))
         full = engine.snapshot()
@@ -321,9 +243,3 @@ def build_report(*, fleet_size: int = 256, ram_kb: int = 64,
         "equivalence": equivalence,
     }
 
-
-def write_report(report: dict, path):
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path

@@ -25,8 +25,6 @@ except as the invariant being checked.
 from __future__ import annotations
 
 import json
-import pathlib
-import platform
 import time
 
 from .. import fastpath
@@ -34,10 +32,10 @@ from ..core.protocol import build_session
 from ..crypto.hmac import HmacSha1, clear_hmac_midstate_cache
 from ..mcu.device import Device, DeviceConfig
 from ..obs.telemetry import Telemetry
+from .harness import host_info
 
-__all__ = ["REPORT_SCHEMA_ID", "DEFAULT_SWEEP_KB", "host_info",
-           "time_measurement", "hmac_cache_timing", "equivalence_check",
-           "build_report", "write_report"]
+__all__ = ["REPORT_SCHEMA_ID", "DEFAULT_SWEEP_KB", "time_measurement",
+           "hmac_cache_timing", "equivalence_check", "build_report"]
 
 REPORT_SCHEMA_ID = "repro.perf.wallclock/v1"
 
@@ -46,16 +44,6 @@ DEFAULT_SWEEP_KB = (64, 128, 256, 512, 1024)
 
 _KEY = b"wallclock-key-16"
 _CHALLENGE = b"wallclock-challenge"
-
-
-def host_info() -> dict:
-    """The host block every perf report embeds (shared by the wallclock,
-    fleet and incremental reports so they stay comparable)."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-    }
 
 
 def _build_device(ram_kb: int) -> tuple[Device, object]:
@@ -236,9 +224,3 @@ def build_report(*, sweep_kb: tuple = DEFAULT_SWEEP_KB,
         "equivalence": equivalence_check(ram_kb=equivalence_ram_kb),
     }
 
-
-def write_report(report: dict, path) -> pathlib.Path:
-    """Write ``report`` as indented JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-    return path

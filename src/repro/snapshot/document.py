@@ -191,10 +191,10 @@ def build_swarm_from_spec(spec: dict):
     restores cleanly into another.  A malformed spec raises
     :class:`~repro.errors.SnapshotError` naming the field.
     """
-    from ..core.resilience import RetryPolicy
+    from ..core.resilience import JITTERED_RETRY
     from ..mcu.device import DeviceConfig
     from ..mcu.profiles import ALL_PROFILES
-    from ..perf.fleet import lossy_link
+    from ..net.faults import lossy_link
     from ..services.swarm import Swarm
 
     check_spec(spec, _SWARM_SPEC_FIELDS, optional=("incremental",))
@@ -204,10 +204,6 @@ def build_swarm_from_spec(spec: dict):
     except KeyError:
         raise SnapshotError(
             f"unknown protection profile {spec['profile']!r}") from None
-    retry = None
-    if spec["retry"]:
-        retry = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
-                            base_backoff_seconds=1.0, jitter_fraction=0.5)
     return Swarm(spec["size"], profile=profile,
                  auth_scheme=spec["auth_scheme"],
                  policy_name=spec["policy"],
@@ -215,7 +211,7 @@ def build_swarm_from_spec(spec: dict):
                      ram_size=spec["ram_kb"] * 1024,
                      flash_size=spec["flash_kb"] * 1024,
                      app_size=spec["app_kb"] * 1024),
-                 retry=retry,
+                 retry=JITTERED_RETRY if spec["retry"] else None,
                  adversary_factory=lossy_link if spec["faults"] else None,
                  observe=True,
                  incremental=spec.get("incremental", False),

@@ -35,8 +35,10 @@ from repro.core.resilience import RetryPolicy
 from repro.mcu import device as device_module
 from repro.mcu.device import DeviceConfig
 from repro.mcu.profiles import ALL_PROFILES
-from repro.perf.fleet import FleetEngine, FleetSpec, lossy_link
-from repro.perf.snapshot import _update_engine, build_report
+from repro.net.faults import lossy_link
+from repro.perf.fleet import FleetEngine, FleetSpec
+from repro.perf.harness import apply_update, learn_update
+from repro.perf.snapshot import build_report
 from repro.services.swarm import Swarm
 from repro.snapshot import (bisect_replay, compact_chain, linear_scan,
                             load_document, materialize_chain, save_document)
@@ -150,7 +152,8 @@ def fleet():
         engine.sweep()
         chain = [engine.snapshot()]
         for round_index in range(LINKS):
-            _update_engine(engine, round_index, 0.10, True)
+            engine.each(apply_update, round_index, 0.10)
+            engine.each(learn_update)
             engine.sweep()
             chain.append(engine.snapshot(parent=chain[-1]))
         full = engine.snapshot()

@@ -23,8 +23,8 @@ from repro.mcu.device import DeviceConfig
 from repro.mcu.statecache import StateDigestCache
 from repro.obs.schema import validate_fleet_report
 from repro.perf.fleet import (FleetSpec, build_report,
-                              default_equivalence_spec, equivalence_check,
-                              write_report)
+                              default_equivalence_spec, equivalence_check)
+from repro.perf.harness import write_report
 
 SIZE = 6          # fleet size for the equivalence gate
 WORKERS = 2       # shard workers for the equivalence gate

@@ -25,9 +25,9 @@ import pytest
 
 from repro.mcu import device as device_module
 from repro.obs.schema import validate_incremental_report
-from repro.perf.incremental import (apply_update, build_report,
-                                    build_swarm, equivalence_check,
-                                    learn_update)
+from repro.perf.harness import apply_update, learn_update
+from repro.perf.incremental import (build_report, build_swarm,
+                                    equivalence_check)
 from tests.conftest import REPO
 
 SIZE = 8       # fleet size for the equivalence and arithmetic gates

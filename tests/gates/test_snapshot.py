@@ -20,7 +20,8 @@ import json
 import pytest
 
 from repro.core.resilience import RetryPolicy
-from repro.perf.fleet import FleetEngine, FleetSpec, lossy_link
+from repro.net.faults import lossy_link
+from repro.perf.fleet import FleetEngine, FleetSpec
 from repro.services.swarm import Swarm
 from repro.snapshot import load_document, save_document
 

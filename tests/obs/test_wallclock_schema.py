@@ -56,7 +56,7 @@ def test_schema_is_exported():
      "expected number"),
     (lambda r: r["sweep"][0].__setitem__("ram_kb", 0), "below minimum"),
     (lambda r: r["naive_baseline"].__setitem__("engine", "accel"),
-     "engine must be 'naive'"),
+     "naive_baseline.engine"),
     (lambda r: r["equivalence"].__setitem__("identical", "yes"),
      "expected boolean"),
     (lambda r: r.__setitem__("sweep", "oops"), "expected array"),

@@ -15,16 +15,17 @@ the process-pool path itself is covered by the
 """
 
 import json
+import os
 from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import JITTERED_RETRY, RetryPolicy
 from repro.mcu.device import DeviceConfig
 from repro.mcu.statecache import StateDigestCache
+from repro.net.faults import lossy_link
 from repro.perf.fleet import (FleetEngine, FleetSpec, default_equivalence_spec,
-                              equivalence_check, lossy_link, partition,
-                              resolve_workers)
+                              equivalence_check, partition)
 from repro.services.swarm import (MemberSweepOutcome, Swarm, fold_outcomes)
 from tests.conftest import tiny_config
 
@@ -34,8 +35,6 @@ def small_config() -> DeviceConfig:
 
 
 PLAIN_RETRY = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=1)
-JITTERED_RETRY = RetryPolicy(attempt_timeout_seconds=5.0, max_retries=2,
-                             base_backoff_seconds=1.0, jitter_fraction=0.5)
 
 
 def build_fleet(size, *, indices=None, retry=None, faults=False,
@@ -65,7 +64,7 @@ def sharded_sweep(size, shards, *, retry, faults, sweeps, stagger):
     for swarm in swarms:
         states.update(swarm.device_states())
     # Shard pre-merge: each shard folds its own members and ships one
-    # dump, exactly like _shard_merged_registry_dump does in-process.
+    # dump, exactly like FleetEngine.merged_registry folds them.
     from repro.obs.registry import MetricsRegistry
     registry = MetricsRegistry()
     for swarm in swarms:
@@ -168,30 +167,39 @@ class TestShardPrimitives:
 
 
 class TestFleetEngine:
-    def test_workers_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_WORKERS", raising=False)
-        assert resolve_workers(3) == 3
-        assert resolve_workers(8, size=4) == 4
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "5")
-        assert resolve_workers() == 5
-        assert resolve_workers(2) == 2   # explicit arg wins over env
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "nope")
+    def test_workers_resolution(self):
+        spec = FleetSpec(size=4, device_config=small_config())
+        assert FleetEngine(spec, workers=3).workers == 3
+        assert FleetEngine(spec, workers=8).workers == 4   # one per member
         import pytest
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            resolve_workers()
+            FleetEngine(spec, workers=0)
 
     def test_workers_one_is_the_seed_path(self):
+        """``workers=1`` is one uncached in-process swarm: ``each``
+        runs in this process and the digest cache stays unused."""
         spec = FleetSpec(size=3, device_config=small_config(),
                          seed="seed-path")
         with FleetEngine(spec, workers=1) as engine:
             report = engine.sweep()
-            assert engine._swarm is not None
-            assert engine._executors is None
+            assert engine.each(_process_and_cache) == [
+                (os.getpid(), False)]
             assert engine.cache_stats() == {"hits": 0, "misses": 0,
                                             "evictions": 0, "entries": 0}
         plain = spec.build()
         assert plain.sweep() == report
+
+    def test_each_runs_on_every_resident_shard(self):
+        """``each`` reaches every shard's resident, cached swarm in its
+        own worker process and returns results in shard order."""
+        spec = FleetSpec(size=5, device_config=small_config(),
+                         seed="each-shards")
+        with FleetEngine(spec, workers=2) as engine:
+            assert engine.each(_member_indices) == [[0, 1, 2], [3, 4]]
+            shards = engine.each(_process_and_cache)
+            assert [cached for _, cached in shards] == [True, True]
+            assert len({pid for pid, _ in shards} | {os.getpid()}) == 3
 
     def test_process_pool_equivalence(self):
         result = equivalence_check(default_equivalence_spec(4),
@@ -218,3 +226,11 @@ class TestFleetEngine:
 def _always_lossy(index, device_id):
     from repro.net.faults import BernoulliLoss
     return BernoulliLoss(1.0, seed=f"always-lossy:{device_id}")
+
+
+def _process_and_cache(swarm):
+    return os.getpid(), swarm.state_cache is not None
+
+
+def _member_indices(swarm):
+    return [member.index for member in swarm.members]

@@ -157,6 +157,51 @@ class TestCommands:
             json.loads(registry.read_text())) == []
 
 
+#: verb -> (harness module whose ``build_report`` it calls, artefact).
+BENCH_VERBS = {
+    "fleet-bench": ("repro.perf.fleet", "fleet"),
+    "incremental-bench": ("repro.perf.incremental", "incremental"),
+    "service-bench": ("repro.perf.service", "service"),
+    "snapshot-bench": ("repro.perf.snapshot", "snapshot"),
+}
+
+#: (verb, failure) pairs; the fleet report has no gate block.
+BENCH_CASES = [(verb, failure) for verb in BENCH_VERBS
+               for failure in (None, "gate", "equivalence")
+               if not (verb == "fleet-bench" and failure == "gate")]
+
+
+class TestBenchExitCodes:
+    """Every ``*-bench`` verb exits 1 when its gate failed or its
+    equivalence block is not clean, with and without ``--json``.
+    ``build_report`` is replaced by the checked-in artefact (optionally
+    with one verdict flipped), so no benchmark actually runs."""
+
+    @pytest.mark.parametrize("json_mode", [False, True],
+                             ids=["table", "json"])
+    @pytest.mark.parametrize("verb, failure", BENCH_CASES)
+    def test_exit_code_follows_the_verdicts(self, verb, failure, json_mode,
+                                            monkeypatch, capsys):
+        import importlib
+
+        from tests.conftest import REPO
+        module, artefact = BENCH_VERBS[verb]
+        report = json.loads((REPO / f"BENCH_{artefact}.json").read_text())
+        if failure == "gate":
+            report["gate"]["passed"] = False
+        elif failure == "equivalence":
+            report["equivalence"]["identical"] = False
+        monkeypatch.setattr(importlib.import_module(module), "build_report",
+                            lambda **kwargs: report)
+        argv = [verb] + (["--json"] if json_mode else [])
+        assert main(argv) == (0 if failure is None else 1)
+        out = capsys.readouterr().out
+        if json_mode:
+            assert json.loads(out) == report
+        else:
+            assert "equivalence clean" in out
+
+
 class TestTypedErrors:
     @pytest.mark.parametrize("argv", [
         ["snapshot", "save", "--size", "0", "--out", "unused.json"],
