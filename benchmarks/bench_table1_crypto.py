@@ -132,10 +132,12 @@ def test_real_ordering_matches_paper_shape(benchmark, keypair):
     aes_block = clock(lambda: aes.encrypt_block(b"x" * 16))
     ecdsa_time = clock(lambda: ecdsa_verify(SECP160R1, keypair.public,
                                             b"m", signature), repeat=3)
-    rows = [["op", "seconds"],
-            ["speck block (8 B)", f"{speck_block:.2e}"],
-            ["aes block (16 B)", f"{aes_block:.2e}"],
-            ["ecdsa verify", f"{ecdsa_time:.2e}"]]
+    ordered = speck_block < aes_block < ecdsa_time
+    # Only the verdict is rendered: the seconds are host figures, and
+    # results tables regenerate byte-identically on any host.
+    rows = [["ordering", "verdict"],
+            ["speck block (8 B) < aes block (16 B) < ecdsa verify",
+             "holds" if ordered else "VIOLATED"]]
     write_report("table1_real_wallclock",
                  render_table(rows, title="Pure-Python wall-clock sanity"))
-    assert speck_block < aes_block < ecdsa_time
+    assert ordered

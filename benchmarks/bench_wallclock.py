@@ -11,9 +11,11 @@ touching a single simulated number.
 Artefacts:
 
 * ``BENCH_wallclock.json`` at the repository root (schema
-  ``repro.perf.wallclock/v1``, validated by ``tests/gates/``);
-* ``benchmarks/results/wallclock_trajectory.txt``, the human-readable
-  rendering.
+  ``repro.perf.wallclock/v1``, validated by ``tests/gates/``), which
+  holds every host figure: seconds, MB/s and speedup factors;
+* ``benchmarks/results/wallclock_trajectory.txt``, the host-independent
+  rendering: the engines measured and the gate verdicts, so the file
+  regenerates byte-identically on any host that passes.
 
 Acceptance gates asserted here:
 
@@ -40,27 +42,21 @@ def test_report_wallclock_trajectory(benchmark):
 
     assert not validate_wallclock_report(report)
 
-    rows = [["ram (KB)", "engine", "seconds", "MB/s"]]
-    for entry in report["sweep"]:
-        rows.append([str(entry["ram_kb"]), entry["engine"],
-                     f"{entry['seconds']:.4f}", f"{entry['mb_per_s']:.1f}"])
-    naive = report["naive_baseline"]
-    rows.append([str(naive["ram_kb"]), naive["engine"],
-                 f"{naive['seconds']:.4f}", f"{naive['mb_per_s']:.1f}"])
+    rows = [["ram (KB)", "engine", "verdict"]]
+    for entry in [*report["sweep"], report["naive_baseline"]]:
+        rows.append([str(entry["ram_kb"]), entry["engine"], "measured"])
     speedup = report["speedup"]
-    cache = report["hmac_cache"]
     equivalence = report["equivalence"]
-    rows.append(["", "", "", ""])
+    rows.append(["", "", ""])
     rows.append([f"speedup @{speedup['ram_kb']}KB",
-                 f"{report['engine_default']} vs naive",
-                 f"{speedup['factor']:.1f}x", ""])
-    rows.append(["hmac midstate cache", "warm vs cold",
-                 f"{cache['speedup']:.2f}x", ""])
+                 f"{report['engine_default']} vs naive >= 3x",
+                 "pass" if speedup["factor"] >= 3.0 else "FAIL"])
     rows.append(["fast/naive equivalence", "",
-                 "clean" if equivalence["identical"] else "BROKEN", ""])
+                 "clean" if equivalence["identical"] else "BROKEN"])
     write_report("wallclock_trajectory",
                  render_table(rows, title="Host wall-clock trajectory "
-                                          "(NOT simulated time)"))
+                                          "(timings in "
+                                          "BENCH_wallclock.json)"))
     write_json_artifact("wallclock", report)
 
     assert report["engine_default"] == fastpath.engine()

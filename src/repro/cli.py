@@ -620,14 +620,27 @@ def _report_rows(report) -> list:
             ["sweep seconds (simulated)", f"{report.sweep_seconds:.3f}"]]
 
 
-def _restore_from_chain(documents: list, spec: dict):
-    """Rebuild the spec'd swarm and restore the chain's tip state."""
-    from .snapshot import build_swarm_from_spec, materialize_chain
+def _rebuild_spec(document: dict, path: str,
+                  writer: str = "repro snapshot save") -> dict:
+    """The rebuild spec a checkpoint file embeds in its ``meta``."""
+    from .errors import SnapshotError
 
-    swarm = build_swarm_from_spec(spec)
-    swarm.restore(documents[0] if len(documents) == 1
-                  else materialize_chain(documents))
-    return swarm
+    spec = (document.get("meta") or {}).get("spec")
+    if spec is None:
+        raise SnapshotError(f"{path} has no embedded rebuild spec; it was "
+                            f"not written by '{writer}'")
+    return spec
+
+
+def _load_and_rebuild(path: str):
+    """Load the checkpoint chain ending at ``path`` (following
+    ``meta.parent_path`` links) and rebuild the fleet its tip's spec
+    describes; restoring is the caller's, from the chain as loaded."""
+    from .snapshot import build_swarm_from_spec, load_chain
+
+    documents = load_chain(path)
+    spec = _rebuild_spec(documents[-1], path)
+    return documents, spec, build_swarm_from_spec(spec)
 
 
 def _verify_saved(path: str, swarm) -> list:
@@ -635,11 +648,8 @@ def _verify_saved(path: str, swarm) -> list:
     that differs from the live ``swarm`` that was just checkpointed."""
     import json
 
-    from .snapshot import load_chain
-
-    documents = load_chain(path)
-    spec = (documents[-1].get("meta") or {}).get("spec")
-    checked = _restore_from_chain(documents, spec)
+    documents, _, checked = _load_and_rebuild(path)
+    checked.restore(documents)
     mismatched = []
     if (json.dumps(checked.merged_registry().dump(), sort_keys=True)
             != json.dumps(swarm.merged_registry().dump(), sort_keys=True)):
@@ -660,21 +670,15 @@ def _cmd_snapshot_save(args) -> int:
     ``meta.parent_path`` linking the chain for ``compact``/``bisect``.
     """
     from .errors import SnapshotError
-    from .snapshot import (build_swarm_from_spec, load_chain,
-                           save_document, swarm_spec)
+    from .snapshot import build_swarm_from_spec, save_document, swarm_spec
 
     if args.delta and args.parent is None:
         print("error: --delta needs --parent (the checkpoint to diff "
               "against)", file=sys.stderr)
         return 1
     if args.parent is not None:
-        chain = load_chain(args.parent)
-        spec = (chain[-1].get("meta") or {}).get("spec")
-        if spec is None:
-            raise SnapshotError(
-                f"{args.parent} has no embedded rebuild spec; it was "
-                f"not written by 'repro snapshot save'")
-        swarm = _restore_from_chain(chain, spec)
+        chain, spec, swarm = _load_and_rebuild(args.parent)
+        swarm.restore(chain)
         if not swarm.incremental:
             raise SnapshotError(
                 "delta capture needs digest trees: re-save the parent "
@@ -718,34 +722,12 @@ def _cmd_snapshot_save(args) -> int:
     return 0
 
 
-def _load_snapshot_swarm(path: str):
-    """Rebuild the checkpointed fleet from the spec embedded in a file.
-
-    Delta checkpoints are folded into a full document first (following
-    ``meta.parent_path`` links), so every downstream flow sees exactly
-    the state a full snapshot of the same instant would carry.
-    """
-    from .errors import SnapshotError
-    from .snapshot import (build_swarm_from_spec, load_chain,
-                           materialize_chain)
-
-    documents = load_chain(path)
-    document = (documents[0] if len(documents) == 1
-                else materialize_chain(documents))
-    meta = document.get("meta") or {}
-    if "spec" not in meta:
-        raise SnapshotError(
-            f"{path} has no embedded rebuild spec; it was not written by "
-            f"'repro snapshot save'")
-    return document, meta["spec"], build_swarm_from_spec(meta["spec"])
-
-
 def _cmd_snapshot_restore(args) -> int:
     """Resume a checkpointed fleet and run more sweeps."""
     import json
 
-    document, spec, swarm = _load_snapshot_swarm(args.file)
-    swarm.restore(document)
+    documents, spec, swarm = _load_and_rebuild(args.file)
+    swarm.restore(documents)
     resumed_at = swarm.sweeps_run
     report = None
     for _ in range(args.sweeps):
@@ -774,9 +756,9 @@ def _cmd_snapshot_replay(args) -> int:
     """Restore a checkpoint and re-drive it to an exact trace event."""
     import json
 
-    document, spec, swarm = _load_snapshot_swarm(args.file)
+    documents, spec, swarm = _load_and_rebuild(args.file)
     records = swarm.replay_to_seq(
-        document, args.seq, stagger_seconds=spec["stagger_seconds"],
+        documents, args.seq, stagger_seconds=spec["stagger_seconds"],
         max_sweeps=args.max_sweeps)
     tail = records if args.tail is None else records[-args.tail:]
     for record in tail:
@@ -788,14 +770,14 @@ def _cmd_snapshot_replay(args) -> int:
 
 def _cmd_snapshot_compact(args) -> int:
     """Squash a delta chain into one standalone full checkpoint."""
-    from .snapshot import compact_chain, load_chain, save_document
+    from .snapshot import load_chain, materialize_chain, save_document
 
     documents = load_chain(args.file)
     if len(documents) == 1:
         print(f"error: {args.file} is already a full snapshot",
               file=sys.stderr)
         return 1
-    compacted = compact_chain(documents)
+    compacted = materialize_chain(documents)
     save_document(compacted, args.out)
     print(f"wrote {args.out}: {len(documents)} chain document(s) folded, "
           f"{len(compacted['blobs'])} blob(s)",
@@ -821,18 +803,12 @@ def _cmd_snapshot_bisect(args) -> int:
     """Binary-search a run's event trace for the first matching record."""
     import json
 
-    from .errors import SnapshotError
-    from .snapshot import bisect_replay, load_document
+    from .snapshot import (bisect_replay, build_swarm_from_spec,
+                           load_document)
 
     predicate = _match_predicate(args.match)
     documents = [load_document(path) for path in args.files]
-    meta = documents[0].get("meta") or {}
-    if "spec" not in meta:
-        raise SnapshotError(
-            f"{args.files[0]} has no embedded rebuild spec; it was "
-            f"not written by 'repro snapshot save'")
-    from .snapshot import build_swarm_from_spec
-    spec = meta["spec"]
+    spec = _rebuild_spec(documents[0], args.files[0])
     swarm = build_swarm_from_spec(spec)
     result = bisect_replay(swarm, documents, predicate,
                            stagger_seconds=spec["stagger_seconds"],
@@ -885,19 +861,13 @@ def _cmd_serve(args) -> int:
     """Run the multi-tenant verifier service over a seeded schedule."""
     import json
 
-    from .errors import SnapshotError
     from .services.attestd import (build_schedule, build_service_from_spec,
                                    service_spec)
     from .snapshot import load_document, save_document
 
     if args.restore:
         document = load_document(args.restore)
-        meta = document.get("meta", {})
-        if "spec" not in meta:
-            raise SnapshotError(
-                f"{args.restore} has no embedded rebuild spec; it was "
-                f"not written by 'repro serve --snapshot'")
-        spec = meta["spec"]
+        spec = _rebuild_spec(document, args.restore, "repro serve --snapshot")
         service = build_service_from_spec(spec)
         service.restore(document)
     else:

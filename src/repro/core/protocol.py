@@ -243,29 +243,26 @@ class Session:
         storing only chunks changed since the parent (see
         :mod:`repro.snapshot.delta`).
         """
-        from ..snapshot import (BlobStore, DeltaBase, document_id,
-                                make_delta_document, make_document,
+        from ..snapshot import (BlobStore, DeltaBase, make_document,
                                 snapshot_session)
         blobs = BlobStore()
-        if parent is None:
-            state = snapshot_session(self, blobs)
-            return make_document("session", state, blobs)
-        base = DeltaBase.from_document(parent, "session")
-        state = snapshot_session(self, blobs, parent=base.member(0))
-        return make_delta_document("session", state, blobs,
-                                   document_id(parent))
+        base = (DeltaBase.from_document(parent, "session").member(0)
+                if parent is not None else None)
+        state = snapshot_session(self, blobs, parent=base)
+        return make_document("session", state, blobs, parent=parent)
 
-    def restore(self, document: dict) -> None:
-        """Overwrite this (freshly rebuilt) session from a document.
+    def restore(self, documents) -> None:
+        """Overwrite this (freshly rebuilt) session from one document or
+        a root-first delta chain.
 
         The session must have been built with the same
         :func:`build_session` parameters as the captured one; after the
         restore, continuing the run is byte-identical to a run that was
         never interrupted.
         """
-        from ..snapshot import restore_session, unwrap_document
-        state, blobs = unwrap_document(document, "session")
-        restore_session(self, state, blobs)
+        from ..snapshot import restore_session
+        from ..snapshot.delta import open_chain
+        restore_session(self, *open_chain(documents, "session"))
 
     def summary(self) -> dict:
         """Machine-readable snapshot of the deployment and its history.

@@ -375,8 +375,7 @@ restore>` accepts the same document for sequential resume.
         O(dirty) chunk blobs plus the log entries added since the
         parent.
         """
-        from ..snapshot import (BlobStore, DeltaBase, document_id,
-                                make_delta_document, make_document,
+        from ..snapshot import (BlobStore, DeltaBase, make_document,
                                 parent_blob_keys, unwrap_parent)
         if parent is None:
             captured = self.each(_capture)
@@ -398,15 +397,13 @@ restore>` accepts the same document for sequential resume.
             shards.append({"indices": list(block), "swarm": swarm_state})
         state = {"workers": self.workers, "sweeps_run": self.sweeps_run,
                  "shards": shards}
-        if parent is None:
-            return make_document("fleet", state, blobs)
-        return make_delta_document("fleet", state, blobs,
-                                   document_id(parent))
+        return make_document("fleet", state, blobs, parent=parent)
 
-    def restore(self, document: dict) -> None:
-        """Overwrite this engine's shards from a ``fleet`` document,
-        including their state-digest caches and hit/miss counters --
-        spin-up accounting is replaced, not added to.
+    def restore(self, documents) -> None:
+        """Overwrite this engine's shards from a ``fleet`` document or a
+        root-first chain of them, including their state-digest caches
+        and hit/miss counters -- spin-up accounting is replaced, not
+        added to.
 
         The engine must have been created with the same spec and
         resolve to the same worker count as the captured one (shard
@@ -414,8 +411,9 @@ restore>` accepts the same document for sequential resume.
         fleet document on different hardware, restore it into a
         sequential :class:`~repro.services.swarm.Swarm` instead.
         """
-        from ..snapshot import restore_swarm, unwrap_document
-        state, blobs = unwrap_document(document, "fleet")
+        from ..snapshot import restore_swarm
+        from ..snapshot.delta import open_chain
+        state, blobs = open_chain(documents, "fleet")
         self._check_layout(state, "snapshot",
                            "restore into a sequential Swarm to "
                            "repartition")

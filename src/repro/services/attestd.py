@@ -56,6 +56,7 @@ from ..mcu.profiles import ProtectionProfile, ROAM_HARDENED
 from ..mcu.statecache import StateDigestCache
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from .swarm import classify_outcome
 
 __all__ = ["TokenBucket", "HashRing", "ServiceRequest", "RequestRecord",
            "ServiceMember", "AttestationService", "build_schedule",
@@ -331,22 +332,13 @@ class AttestationService:
 
     def _attest_record(self, request: ServiceRequest,
                        member: ServiceMember) -> RequestRecord:
-        """Run one admitted round and categorise the outcome (the same
-        cause-bucketing the swarm sweep uses)."""
+        """Run one admitted round and categorise the outcome with
+        :func:`~repro.services.swarm.classify_outcome`."""
         session = member.session
         rejected_before = session.anchor.stats.rejected_total
         result = session.attest_once()
-        if result.trusted:
-            category = "trusted"
-        elif result.detail == "no-response":
-            if session.anchor.stats.rejected_total > rejected_before:
-                category = "refused"
-            else:
-                category = "no_response"
-        elif not result.authentic:
-            category = "refused"
-        else:
-            category = "untrusted"
+        category = classify_outcome(
+            result, session.anchor.stats.rejected_total > rejected_before)
         self.telemetry.count("service.rounds", verdict=category)
         return RequestRecord(request.request_id, member.device_id,
                              member.tenant, member.backend, True,
@@ -481,11 +473,11 @@ class AttestationService:
         return make_document("service", state, blobs)
 
     def restore(self, document: dict) -> None:
-        """Overwrite this (freshly rebuilt) service from a document."""
-        from ..snapshot import unwrap_document
+        """Overwrite this (freshly rebuilt) service from a document (a
+        chain of one: services have no delta form)."""
+        from ..snapshot.delta import open_chain
         from ..snapshot.service import restore_service
-        state, blobs = unwrap_document(document, "service")
-        restore_service(self, state, blobs)
+        restore_service(self, *open_chain(document, "service"))
 
 
 # ---------------------------------------------------------------------------

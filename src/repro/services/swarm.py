@@ -39,7 +39,7 @@ from ..core.resilience import CircuitBreaker, RetryPolicy
 from ..crypto.hmac import pin_hmac_midstates
 from ..crypto.kdf import derive_device_key
 from ..crypto.rng import DeterministicRng
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SnapshotError
 from ..mcu.device import DeviceConfig
 from ..mcu.profiles import ProtectionProfile, ROAM_HARDENED
 from ..mcu.statecache import StateDigestCache
@@ -48,11 +48,31 @@ from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import Telemetry
 
 __all__ = ["SwarmMember", "MemberSweepOutcome", "SweepReport",
-           "fold_outcomes", "Swarm"]
+           "classify_outcome", "fold_outcomes", "Swarm"]
 
 #: Outcome categories a member can report from one sweep.
 OUTCOME_CATEGORIES = ("trusted", "untrusted", "no_response", "refused",
                       "skipped")
+
+
+def classify_outcome(result, prover_rejected: bool) -> str:
+    """Bucket one attestation round by cause: ``trusted``; ``refused``
+    when authentication failed or the round went silent because the
+    prover rejected the request (``prover_rejected``: its
+    ``rejected_total`` grew during the round); ``no_response`` when the
+    channel delivered nothing; ``untrusted`` for an authentic digest
+    outside the reference set.  Sweeps and the attestation service
+    share it."""
+    if result.trusted:
+        return "trusted"
+    if result.detail == "no-response":
+        # Silence has two causes the transcript distinguishes: the
+        # prover rejecting the request (it saw it and said no) vs the
+        # channel never delivering anything.
+        return "refused" if prover_rejected else "no_response"
+    if not result.authentic:
+        return "refused"
+    return "untrusted"
 
 
 @dataclass
@@ -351,23 +371,9 @@ class Swarm:
         duration = session.sim.now - start
         session.device.sync_energy()
         energy = session.device.battery.consumed_mj - before_energy
-        if result.trusted:
-            self._record_breaker(member, True)
-            category = "trusted"
-        else:
-            self._record_breaker(member, False)
-            if result.detail == "no-response":
-                # Silence has two causes the transcript distinguishes:
-                # the prover rejecting the request (it saw it and said
-                # no) vs the channel never delivering anything.
-                if session.anchor.stats.rejected_total > rejected_before:
-                    category = "refused"
-                else:
-                    category = "no_response"
-            elif not result.authentic:
-                category = "refused"
-            else:
-                category = "untrusted"
+        self._record_breaker(member, result.trusted)
+        category = classify_outcome(
+            result, session.anchor.stats.rejected_total > rejected_before)
         return MemberSweepOutcome(member.device_id, category,
                                   retries=retries, energy_delta_mj=energy,
                                   duration_seconds=duration)
@@ -421,17 +427,13 @@ class Swarm:
         stored.  See :mod:`repro.snapshot` and
         :mod:`repro.snapshot.delta`.
         """
-        from ..snapshot import (BlobStore, DeltaBase, document_id,
-                                make_delta_document, make_document,
+        from ..snapshot import (BlobStore, DeltaBase, make_document,
                                 snapshot_swarm)
         blobs = BlobStore()
-        if parent is None:
-            state = snapshot_swarm(self, blobs)
-            return make_document("swarm", state, blobs)
-        base = DeltaBase.from_document(parent, "swarm")
+        base = (DeltaBase.from_document(parent, "swarm")
+                if parent is not None else None)
         state = snapshot_swarm(self, blobs, parent=base)
-        return make_delta_document("swarm", state, blobs,
-                                   document_id(parent))
+        return make_document("swarm", state, blobs, parent=parent)
 
     def freshness_fingerprint(self) -> str:
         """SHA-1 over every member's verifier freshness state (next
@@ -453,38 +455,42 @@ class Swarm:
         text = _json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return _hashlib.sha1(text.encode()).hexdigest()
 
-    def restore(self, document: dict) -> None:
-        """Overwrite this (freshly rebuilt) swarm from a document.
+    def restore(self, documents) -> None:
+        """Overwrite this (freshly rebuilt) swarm from one document or a
+        root-first delta chain (see ``repro.snapshot.delta.open_chain``).
 
-        Accepts swarm documents and fleet documents (whose shards are
+        Accepts swarm and fleet checkpoints (a fleet's shards are
         flattened into fleet order); the rebuilt swarm must have the
         same constructor parameters as the captured one.
         """
-        from ..snapshot import (BlobStore, flatten_fleet_state,
-                                restore_swarm, unwrap_document)
-        if document.get("kind") == "fleet":
-            state, blobs = unwrap_document(document, "fleet")
-            state = flatten_fleet_state(state)
-        else:
-            state, blobs = unwrap_document(document, "swarm")
-        restore_swarm(self, state, blobs)
+        from ..snapshot import restore_swarm
+        from ..snapshot.delta import open_chain
+        restore_swarm(self, *open_chain(documents, "swarm"))
 
-    def replay_to_seq(self, document: dict, target_seq: int, *,
+    def replay_to_seq(self, documents, target_seq: int, *,
                       stagger_seconds: float = 0.0,
                       max_sweeps: int = 64) -> list:
-        """Restore from ``document`` and deterministically re-drive the
-        fleet until the merged event trace reaches ``target_seq``;
-        returns the exact record prefix ``0..target_seq``."""
-        from ..snapshot import (flatten_fleet_state, replay_to_seq,
-                                unwrap_document)
-        if document.get("kind") == "fleet":
-            state, blobs = unwrap_document(document, "fleet")
-            state = flatten_fleet_state(state)
-        else:
-            state, blobs = unwrap_document(document, "swarm")
-        return replay_to_seq(self, state, blobs, target_seq,
-                             stagger_seconds=stagger_seconds,
-                             max_sweeps=max_sweeps)
+        """Restore from ``documents`` (as :meth:`restore` takes them)
+        and deterministically re-drive the fleet until the merged event
+        trace reaches ``target_seq``; returns the exact record prefix
+        ``0..target_seq``.  Raises :class:`SnapshotError` if the target
+        is not reached within ``max_sweeps`` (e.g. a quarantined-out
+        fleet that no longer emits events).
+        """
+        if target_seq < 0:
+            raise SnapshotError("replay target seq cannot be negative")
+        self.restore(documents)
+        records = self.merged_trace_records()
+        for _ in range(max_sweeps):
+            if len(records) > target_seq:
+                break
+            self.sweep(stagger_seconds=stagger_seconds)
+            records = self.merged_trace_records()
+        if len(records) <= target_seq:
+            raise SnapshotError(
+                f"replay reached only {len(records)} events after "
+                f"{max_sweeps} sweeps; target seq {target_seq} unreachable")
+        return records[:target_seq + 1]
 
     def device_states(self) -> dict[str, str]:
         """Circuit-breaker state per device (graceful-degradation view)."""

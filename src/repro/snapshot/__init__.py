@@ -18,23 +18,29 @@ unknown adversary types.
 Entry points:
 
 * ``Session.snapshot()`` / ``Swarm.snapshot()`` /
-  ``FleetEngine.snapshot()`` -- capture to an envelope dict;
-* the matching ``.restore(document)`` methods -- overwrite a rebuilt
-  object;
-* :func:`replay_to_seq` -- restore and re-drive a swarm until its
+  ``FleetEngine.snapshot()`` / ``AttestationService.snapshot()`` --
+  capture to an envelope dict;
+* the matching ``.restore(documents)`` methods -- overwrite a rebuilt
+  object from one document or a root-first delta chain;
+* ``Swarm.replay_to_seq`` -- restore and re-drive a swarm until its
   merged event trace reaches a target sequence number;
-* ``snapshot(parent=...)`` on each entry point -- **delta** capture
-  (``repro.snapshot.delta/v1``): record only the chunks whose digest-
-  tree leaves changed since a parent checkpoint, with
-  :func:`materialize_chain` / :func:`compact_chain` folding a chain
-  back into a byte-identical full document (see
-  :mod:`repro.snapshot.delta`);
+* ``snapshot(parent=...)`` on the session, swarm and fleet entry points
+  -- **delta** capture (``repro.snapshot.delta/v1``): record only the
+  chunks whose digest-tree leaves changed since a parent checkpoint,
+  with :func:`materialize_chain` folding a chain back into a
+  byte-identical full document (see :mod:`repro.snapshot.delta`);
 * :func:`bisect_replay` -- binary-search the merged-trace seq axis for
   the first record matching a predicate, restarting probes from the
   nearest checkpoint (see :mod:`repro.snapshot.bisect`);
 * ``python -m repro snapshot save|restore|replay|compact|bisect`` --
   the same flows from the command line, with the rebuild spec embedded
   in the file.
+
+Every restore reads its documents through one gate,
+:func:`repro.snapshot.delta.open_chain` (a full document is a chain of
+one), which runs every document-only check before the target is
+touched: a hostile document raises ``SnapshotError`` and leaves the
+target as it was.
 """
 
 from .bisect import bisect_replay, checkpoint_trace_length, linear_scan
@@ -42,27 +48,25 @@ from .blobs import BlobStore
 from .codec import (decode_message, encode_adversary, encode_message,
                     restore_adversary, restore_rng, rng_state)
 from .delta import (DeltaBase, ParentMember, capture_region_delta,
-                    compact_chain, document_id, load_chain,
-                    make_delta_document, materialize_chain,
-                    parent_blob_keys, unwrap_parent, verify_chain)
+                    load_chain, materialize_chain, parent_blob_keys,
+                    unwrap_parent, verify_chain)
 from .device import restore_device, snapshot_device
-from .document import (build_swarm_from_spec, flatten_fleet_state,
-                       load_document, make_document, save_document,
-                       swarm_spec, unwrap_document)
+from .document import (build_swarm_from_spec, document_id,
+                       flatten_fleet_state, load_document, make_document,
+                       save_document, swarm_spec)
 from .service import restore_service, snapshot_service
 from .session import restore_session, snapshot_session
-from .swarm import replay_to_seq, restore_swarm, snapshot_swarm
+from .swarm import restore_swarm, snapshot_swarm
 
 __all__ = ["BlobStore", "snapshot_device", "restore_device",
            "snapshot_session", "restore_session", "snapshot_swarm",
            "restore_swarm", "snapshot_service", "restore_service",
-           "replay_to_seq", "make_document",
-           "unwrap_document", "save_document", "load_document",
-           "flatten_fleet_state", "swarm_spec", "build_swarm_from_spec",
+           "make_document", "save_document",
+           "load_document", "flatten_fleet_state", "swarm_spec",
+           "build_swarm_from_spec",
            "rng_state", "restore_rng", "encode_message", "decode_message",
            "encode_adversary", "restore_adversary",
            "DeltaBase", "ParentMember", "capture_region_delta",
-           "compact_chain", "document_id", "load_chain",
-           "make_delta_document", "materialize_chain", "parent_blob_keys",
-           "unwrap_parent", "verify_chain",
+           "document_id", "load_chain", "materialize_chain",
+           "parent_blob_keys", "unwrap_parent", "verify_chain",
            "bisect_replay", "checkpoint_trace_length", "linear_scan"]

@@ -18,15 +18,16 @@ the number a linear scan from the oldest checkpoint
 
 Checkpoints must be observed (``observe=True`` swarms): the stored
 per-member trace lengths anchor each document on the seq axis.
-Documents may be full snapshots or delta chains -- a root-first list
-mixing both is materialized checkpoint by checkpoint.
+Documents may be full snapshots or delta chains -- in a root-first
+list mixing both, each checkpoint is restored from its chain: the
+newest full document at or before it plus the deltas up to it.
 """
 
 from __future__ import annotations
 
 from ..errors import SnapshotError
-from ..obs.schema import SNAPSHOT_DELTA_SCHEMA_ID
-from .delta import _record_counts, _session_states, materialize_chain
+from .delta import _record_counts, _session_states
+from .document import is_delta
 
 __all__ = ["bisect_replay", "checkpoint_trace_length", "linear_scan"]
 
@@ -48,24 +49,18 @@ def checkpoint_trace_length(document: dict) -> int:
     return total
 
 
-def _materialize_all(documents: list[dict]) -> list[dict]:
-    """Turn a root-first checkpoint list (full documents and/or delta
-    descendants) into restorable full documents, one per checkpoint.
-    A full document restarts the chain base; a delta document folds
-    onto everything since the last full one."""
-    full = []
+def _chains(documents: list[dict]) -> list[list[dict]]:
+    """Per checkpoint of a root-first list (full documents and/or delta
+    descendants), the chain that restores it: a full document starts a
+    chain of its own, a delta extends the chain since the last full
+    one (a list starting with a delta fails to open)."""
+    chains = []
     chain_start = 0
     for index, document in enumerate(documents):
-        if document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID:
-            if index == 0:
-                raise SnapshotError(
-                    "checkpoint list starts with a delta document; the "
-                    "oldest checkpoint must be a full snapshot")
-            full.append(materialize_chain(documents[chain_start:index + 1]))
-        else:
+        if not is_delta(document):
             chain_start = index
-            full.append(document)
-    return full
+        chains.append(documents[chain_start:index + 1])
+    return chains
 
 
 def bisect_replay(swarm, documents: list[dict], predicate, *,
@@ -93,7 +88,7 @@ def bisect_replay(swarm, documents: list[dict], predicate, *,
     """
     if not documents:
         raise SnapshotError("bisection needs at least one checkpoint")
-    documents = _materialize_all(documents)
+    chains = _chains(documents)
     lengths = [checkpoint_trace_length(document) for document in documents]
     for earlier, later in zip(lengths, lengths[1:]):
         if later < earlier:
@@ -111,7 +106,7 @@ def bisect_replay(swarm, documents: list[dict], predicate, *,
         return None
 
     if hi is None:
-        swarm.restore(documents[-1])
+        swarm.restore(chains[-1])
         records = swarm.merged_trace_records()
         match = scan(records, len(records))
         sweeps = 0
@@ -136,7 +131,7 @@ def bisect_replay(swarm, documents: list[dict], predicate, *,
             if length <= mid + 1:
                 nearest = index
         probes += 1
-        records = swarm.replay_to_seq(documents[nearest], mid,
+        records = swarm.replay_to_seq(chains[nearest], mid,
                                       stagger_seconds=stagger_seconds,
                                       max_sweeps=max_sweeps)
         events_replayed += (len(swarm.merged_trace_records())
@@ -154,17 +149,17 @@ def bisect_replay(swarm, documents: list[dict], predicate, *,
             "events_replayed": events_replayed}
 
 
-def linear_scan(swarm, document: dict, predicate, *,
+def linear_scan(swarm, documents, predicate, *,
                 stagger_seconds: float = 0.0,
                 max_sweeps: int = 64) -> dict:
-    """The baseline bisection beats: restore the oldest checkpoint and
-    sweep forward, scanning every record in order, until the predicate
-    first matches.  Same return shape as :func:`bisect_replay` (minus
-    ``probes``); ``events_replayed`` counts re-generated events."""
-    documents = _materialize_all([document])
-    document = documents[0]
-    base = checkpoint_trace_length(document)
-    swarm.restore(document)
+    """The baseline bisection beats: restore the oldest checkpoint (one
+    document or a root-first chain ending at it) and sweep forward,
+    scanning every record in order, until the predicate first matches.
+    Same return shape as :func:`bisect_replay` (minus ``probes``);
+    ``events_replayed`` counts re-generated events."""
+    tip = documents if isinstance(documents, dict) else documents[-1]
+    base = checkpoint_trace_length(tip)
+    swarm.restore(documents)
     records = swarm.merged_trace_records()
     scanned = 0
     sweeps = 0

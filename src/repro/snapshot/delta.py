@@ -60,11 +60,11 @@ delta costs O(dirty chunks + new entries), not O(history).
 Chain identity: every document is addressed by :func:`document_id`, the
 SHA-1 of its canonical JSON; a delta's ``parent_id`` must equal its
 parent's id, so a chain is verified end to end before any folding.
-:func:`materialize_chain` folds parent -> child overlays into a plain
-full document that is **byte-identical** to one captured directly (the
-equivalence gates in ``tests/gates/test_delta.py`` and
-``repro.perf.snapshot`` enforce this); :func:`compact_chain` is the
-user-facing squash.
+Every restore reads through :func:`open_chain` (a full document is a
+chain of one); :func:`materialize_chain` envelopes its result as a full
+document **byte-identical** to one captured directly (the equivalence
+gates in ``tests/gates/test_delta.py`` and ``repro.perf.snapshot``
+enforce this).
 """
 
 from __future__ import annotations
@@ -75,16 +75,15 @@ import os
 from itertools import islice
 
 from ..errors import SnapshotError
-from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
-                          validate_snapshot, validate_snapshot_delta)
 from .blobs import BlobStore
-from .document import load_document, make_document
+from .codec import unb64
+from .document import (document_id, flatten_fleet_state, is_delta,
+                       load_document, make_document, open_document)
 
 __all__ = ["DeltaBase", "LOG_FIELDS", "ParentMember", "capture_log",
-           "capture_region_delta", "chunk_index", "compact_chain",
-           "document_id",
-           "load_chain", "make_delta_document", "materialize_chain",
-           "parent_blob_keys", "unwrap_parent", "verify_chain"]
+           "capture_region_delta", "chunk_index", "load_chain",
+           "materialize_chain", "open_chain", "parent_blob_keys",
+           "unwrap_parent", "verify_chain"]
 
 _DIGEST_LEN = 20
 
@@ -111,50 +110,17 @@ LOG_FIELDS = {
 }
 
 
-def document_id(document: dict) -> str:
-    """Content address of a snapshot document: SHA-1 of its canonical
-    JSON (sorted keys, no whitespace).  Saving and reloading a document
-    preserves its id -- ``save_document`` writes sorted keys and JSON
-    scalars round-trip exactly."""
-    payload = json.dumps(document, sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha1(payload).hexdigest()
-
-
-def make_delta_document(kind: str, state: dict, blobs: BlobStore,
-                        parent_id: str, meta: dict | None = None) -> dict:
-    """Assemble a ``repro.snapshot.delta/v1`` envelope."""
-    document = {"schema": SNAPSHOT_DELTA_SCHEMA_ID, "kind": kind,
-                "blobs": blobs.encode(), "state": state,
-                "parent_id": parent_id}
-    if meta is not None:
-        document["meta"] = meta
-    return document
-
-
 def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
     """Validate a parent document (full *or* delta) and return
     ``(state, blobs)``.  Diffing only needs the parent's fingerprints
     and chunk-digest indexes, so ``blobs`` holds only the index rows;
     region images are never decoded."""
-    if (isinstance(document, dict)
-            and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID):
-        errors = validate_snapshot_delta(document)
-    else:
-        errors = validate_snapshot(document)
-    if errors:
-        raise SnapshotError("invalid delta parent document: "
-                            + "; ".join(errors))
-    if document["kind"] != kind:
-        raise SnapshotError(
-            f"delta parent kind mismatch: document is "
-            f"{document['kind']!r}, expected {kind!r}")
-    state, encoded = document["state"], document["blobs"]
-    if document["schema"] == SNAPSHOT_SCHEMA_ID:
-        _reject_tails(state, kind, "a full parent document")
-    keys = _index_keys(_session_states(state, kind))
-    return state, BlobStore.decode({key: encoded[key] for key in keys
-                                    if key in encoded})
+    state, blobs = open_document(
+        document, "delta parent document", kind,
+        select=lambda state: _index_keys(_session_states(state, kind)))
+    if not is_delta(document):
+        _check_whole_logs(state, kind, "a full parent document")
+    return state, blobs
 
 
 def _session_states(state: dict, kind: str) -> list[dict]:
@@ -163,19 +129,17 @@ def _session_states(state: dict, kind: str) -> list[dict]:
     order is global member order)."""
     if kind == "session":
         return [state]
-    if kind == "swarm":
+    if kind in ("swarm", "service"):
         return [member["session"] for member in state["members"]]
-    if kind == "fleet":
-        return [member["session"] for shard in state["shards"]
-                for member in shard["swarm"]["members"]]
-    raise SnapshotError(
-        f"snapshot kind {kind!r} has no delta form (no region images)")
+    return [member["session"] for shard in state["shards"]
+            for member in shard["swarm"]["members"]]
 
 
 def _swarm_states(state: dict, kind: str) -> list[dict]:
     """The swarm-scope payloads of a document state: none for a
-    session, the state itself for a swarm, one per fleet shard."""
-    if kind == "swarm":
+    session, the state itself for a swarm or a service (its digest
+    cache), one per fleet shard."""
+    if kind in ("swarm", "service"):
         return [state]
     if kind == "fleet":
         return [shard["swarm"] for shard in state["shards"]]
@@ -463,22 +427,34 @@ def _where(ident: tuple) -> str:
     return f"{scope} {index} {_label(name, key)}"
 
 
-def _reject_tails(state: dict, kind: str, what: str) -> None:
-    """A full snapshot stores whole logs; refuse any tail record."""
-    for ident, (box, field) in _log_instances(state, kind).items():
-        if not isinstance(box[field], list):
-            raise SnapshotError(f"{_where(ident)}: tail record in {what}; "
-                                f"a full snapshot stores whole logs")
+def _check_whole_logs(state: dict, kind: str, what: str) -> None:
+    """A full snapshot stores whole logs: refuse any log of ``state``
+    that is a tail record, or neither a list nor a tail."""
+    # Streamed, not via _log_instances: a chain of one is checked on
+    # every restore, and a dict of every log instance would keep
+    # thousands of objects alive and trigger collections over the heap.
+    for scope, payloads_of in (("session", _session_states),
+                               ("swarm", _swarm_states)):
+        for index, payload in enumerate(payloads_of(state, kind)):
+            for name, key, box, field in _scope_logs(payload, scope):
+                if not isinstance(box[field], list):
+                    where = _where((scope, index, name, key))
+                    _read_record(box, name, where)
+                    raise SnapshotError(f"{where}: tail record in {what}; "
+                                        f"a full snapshot stores whole logs")
 
 
 def _check_log_links(documents: list[dict]) -> list[dict]:
-    """Every tail must extend its parent's log exactly: its base equals
-    the parent's cumulative count, it evicts no more than the parent
-    held, and the document's eviction counter agrees.  Each record is
-    read once; its counts serve as the next document's parent counts.
-    Returns each document's :func:`_log_instances`."""
+    """Every log record must be a list or a tail, the root's a list,
+    and every tail must extend its parent's log exactly: its base
+    equals the parent's cumulative count, it evicts no more than the
+    parent held, and the document's eviction counter agrees.  Each
+    record is read once; its counts serve as the next document's parent
+    counts.  Returns each document's :func:`_log_instances`."""
     kind = documents[0]["kind"]
-    _reject_tails(documents[0]["state"], kind, "the chain root")
+    _check_whole_logs(documents[0]["state"], kind, "the chain root")
+    if len(documents) == 1:
+        return []       # a chain of one has no links and folds nothing
     chain = []
     parent_counts = {}
     for position, document in enumerate(documents):
@@ -599,45 +575,37 @@ def capture_region_delta(region, parent: ParentMember,
 
 
 # ---------------------------------------------------------------------------
-# Chains: verify, materialize, compact, load
+# Chains: open, materialize, verify, load
 # ---------------------------------------------------------------------------
 
-def verify_chain(documents: list[dict]) -> None:
-    """Check a root-first document list is a well-formed delta chain:
-    full root, delta descendants of one kind, each ``parent_id``
-    matching the :func:`document_id` of the document before it, and
-    each log tail extending its parent's log."""
-    _verify(documents)
+def open_chain(documents, kind: str | None = None) -> tuple[dict, BlobStore]:
+    """The one way into a checkpoint: one document (a chain of one) or
+    a root-first chain, opened into the tip's full state plus a
+    :class:`BlobStore` of raw images.
 
-
-def _verify(documents: list[dict]) -> list[dict]:
-    """:func:`verify_chain`, returning each document's log instances."""
-    if not documents:
-        raise SnapshotError("delta chain is empty")
-    root = documents[0]
-    errors = validate_snapshot(root)
-    if errors:
-        raise SnapshotError("invalid chain root: " + "; ".join(errors))
-    if root["kind"] not in ("session", "swarm", "fleet"):
-        raise SnapshotError(
-            f"snapshot kind {root['kind']!r} has no delta form")
-    previous_id = document_id(root)
-    for position, document in enumerate(documents[1:], start=1):
-        errors = validate_snapshot_delta(document)
-        if errors:
-            raise SnapshotError(f"invalid chain document {position}: "
-                                + "; ".join(errors))
-        if document["kind"] != root["kind"]:
-            raise SnapshotError(
-                f"chain document {position} kind {document['kind']!r} "
-                f"does not match root kind {root['kind']!r}")
-        if document["parent_id"] != previous_id:
-            raise SnapshotError(
-                f"chain broken at document {position}: parent_id "
-                f"{document['parent_id']} does not match the previous "
-                f"document's id {previous_id}")
-        previous_id = document_id(document)
-    return _check_log_links(documents)
+    Every document-only check runs before this returns, so before any
+    restore mutates anything: :func:`verify_chain`'s, every log of the
+    opened state a list, and every region record well-typed with its
+    prefix, image and chunk-digest index at their lengths.  ``kind=None``
+    takes the root's kind; ``"swarm"`` also opens a fleet chain,
+    flattened.  A chain of one is not folded, copied or hashed.
+    """
+    if isinstance(documents, dict):
+        documents = [documents]
+    root = documents[0] if documents else None
+    flatten = (kind == "swarm" and isinstance(root, dict)
+               and root.get("kind") == "fleet")
+    opened, chain_logs = _open_links(documents,
+                                     "fleet" if flatten else kind)
+    kind = root["kind"]
+    if len(documents) == 1:
+        state, blobs = opened[0]
+    else:
+        state, blobs = _fold(kind, opened, chain_logs)
+    _check_images(state, kind, blobs)
+    if flatten:
+        state = flatten_fleet_state(state)
+    return state, blobs
 
 
 def materialize_chain(documents: list[dict]) -> dict:
@@ -651,23 +619,108 @@ def materialize_chain(documents: list[dict]) -> dict:
     was recorded (the output records and blobs carry that index, as a
     full capture's do).  Each distinct region history (see
     :func:`_fold_key`) is folded and verified once; members sharing it
-    share the image.
+    share the image.  ``meta`` is the tip's minus its ``parent_path``.
     """
-    chain_logs = _verify(documents)
-    root = documents[0]
-    kind = root["kind"]
-    tip = documents[-1]
+    state, blobs = open_chain(documents)
+    meta = {key: value for key, value in
+            (documents[-1].get("meta") or {}).items() if key != "parent_path"}
+    return make_document(documents[0]["kind"], state, blobs, meta or None)
+
+
+def verify_chain(documents: list[dict]) -> None:
+    """Check a root-first document list is a well-formed delta chain:
+    full root, delta descendants of one kind, each ``parent_id``
+    matching the :func:`document_id` of the document before it, and
+    each log tail extending its parent's log."""
+    _open_links(documents, None)
+
+
+def _open_links(documents: list[dict], kind: str | None) -> tuple:
+    """:func:`verify_chain`, returning each document's ``(state,
+    blobs)`` and :func:`_check_log_links`' log instances."""
+    if not documents:
+        raise SnapshotError("delta chain is empty")
+    opened = []
+    for position, document in enumerate(documents):
+        what = f"chain document {position}" if position else "chain root"
+        opened.append(open_document(document, what, kind))
+        kind = documents[0]["kind"]
+        if is_delta(document) != (position > 0):
+            raise SnapshotError(
+                f"{what} is a {'delta' if position == 0 else 'full'} "
+                f"document; a chain is one full snapshot followed by "
+                f"its delta descendants")
+        if position:
+            parent_id = document_id(documents[position - 1])
+            if document["parent_id"] != parent_id:
+                raise SnapshotError(
+                    f"chain broken at document {position}: parent_id "
+                    f"{document['parent_id']} does not match the previous "
+                    f"document's id {parent_id}")
+    return opened, _check_log_links(documents)
+
+
+def _regions(session, position: int) -> dict:
+    """A session payload's region records by name, each an object with
+    a string name and fingerprint and integer ``0 <= exclude <= size``."""
+    device = session.get("device") if isinstance(session, dict) else None
+    records = device.get("regions") if isinstance(device, dict) else None
+    if not isinstance(records, list):
+        raise SnapshotError(f"device regions at chain document {position} "
+                            f"must be a list")
+    found = {}
+    for record in records:
+        if not (isinstance(record, dict)
+                and isinstance(record.get("name"), str)
+                and isinstance(record.get("fingerprint"), str)
+                and type(record.get("size")) is int
+                and type(record.get("exclude")) is int
+                and 0 <= record["exclude"] <= record["size"]):
+            raise SnapshotError(f"malformed region record at chain "
+                                f"document {position}")
+        found[record["name"]] = record
+    return found
+
+
+def _check_images(state: dict, kind: str, blobs: BlobStore) -> None:
+    """Every region record of an opened state has a prefix that is
+    base64 of the excluded length, and its image -- and its chunk-digest
+    index, if it records one -- present at the window's length."""
+    for session in _session_states(state, kind):
+        for name, record in _regions(session, 0).items():
+            exclude = record["exclude"]
+            window = record["size"] - exclude
+            image = blobs.get(record["fingerprint"])
+            if len(image) != window:
+                raise SnapshotError(f"region {name!r}: image is "
+                                    f"{len(image)} bytes, window is "
+                                    f"{window}")
+            if len(unb64(record.get("prefix"))) != exclude:
+                raise SnapshotError(f"region {name!r}: prefix is not "
+                                    f"{exclude} bytes")
+            chunk_size, index = _index_fields(name, record, 0)
+            if index is not None:
+                leaves = (window + chunk_size - 1) // chunk_size
+                if len(blobs.get(index)) != leaves * _DIGEST_LEN:
+                    raise SnapshotError(
+                        f"region {name!r}: chunk-digest index does not "
+                        f"hold one digest per chunk of the window")
+
+
+def _fold(kind: str, opened: list[tuple], chain_logs: list[dict]
+          ) -> tuple[dict, BlobStore]:
+    """The tip's full state and images of a checked chain of two or
+    more documents (``opened``: each one's ``(state, blobs)``)."""
     # Deep copy via JSON round-trip: the fold strips "delta" keys from
     # the tip's region records and replaces its log tails in place, and
     # must not mutate the input.
-    state = json.loads(json.dumps(tip["state"]))
+    state = json.loads(json.dumps(opened[-1][0]))
     chain_logs[-1] = _log_instances(state, kind)
     _fold_logs(chain_logs)
-    doc_states = [document["state"] for document in documents[:-1]]
-    doc_states.append(state)
-    doc_sessions = [_session_states(s, kind) for s in doc_states]
-    doc_blobs = [BlobStore.decode(document["blobs"])
-                 for document in documents]
+    doc_sessions = [_session_states(doc_state, kind)
+                    for doc_state, _ in opened[:-1]]
+    doc_sessions.append(_session_states(state, kind))
+    doc_blobs = [blobs for _, blobs in opened]
     member_count = len(doc_sessions[0])
     for position, sessions in enumerate(doc_sessions):
         if len(sessions) != member_count:
@@ -680,11 +733,9 @@ def materialize_chain(documents: list[dict]) -> dict:
     # which BlobStore.encode then base64-encodes once.
     folded = {}
     for m in range(member_count):
-        record_maps = [{record["name"]: record
-                        for record in sessions[m]["device"]["regions"]}
-                       for sessions in doc_sessions]
-        for record in doc_sessions[-1][m]["device"]["regions"]:
-            name = record["name"]
+        record_maps = [_regions(sessions[m], position)
+                       for position, sessions in enumerate(doc_sessions)]
+        for name, record in record_maps[-1].items():
             records = []
             for position, record_map in enumerate(record_maps):
                 link = record_map.get(name)
@@ -707,12 +758,7 @@ def materialize_chain(documents: list[dict]) -> dict:
             # Collision-checked: members sharing a fingerprint must
             # fold to identical images or the chain is corrupt.
             out.put(record["fingerprint"], image)
-    meta = tip.get("meta")
-    if meta is not None:
-        meta = {key: value for key, value in meta.items()
-                if key != "parent_path"}
-        meta = meta or None
-    return make_document(kind, state, out, meta)
+    return state, out
 
 
 _DELTA_MODES = ("unchanged", "chunks", "blob")
@@ -720,17 +766,11 @@ _DELTA_MODES = ("unchanged", "chunks", "blob")
 
 def _fold_key(name: str, records: list[dict]) -> tuple:
     """Everything :func:`_fold_region` reads from one region's records
-    (root first), type-checked.  Equal keys fold to equal images: every
-    blob a key names is looked up in the same chain document."""
+    (root first, each checked by :func:`_regions`), type-checked.
+    Equal keys fold to equal images: every blob a key names is looked
+    up in the same chain document."""
     base = records[0]
     size, exclude = base["size"], base["exclude"]
-    if (type(size) is not int or type(exclude) is not int
-            or not 0 <= exclude <= size):
-        raise SnapshotError(f"region {name!r}: malformed geometry in the "
-                            f"chain root")
-    if not isinstance(base["fingerprint"], str):
-        raise SnapshotError(f"region {name!r}: root fingerprint must be "
-                            f"a string")
     key = [name, size, exclude, base["fingerprint"]]
     for position, record in enumerate(records[1:], start=1):
         if record["size"] != size or record["exclude"] != exclude:
@@ -763,14 +803,7 @@ def _fold_key(name: str, records: list[dict]) -> tuple:
             dirty = tuple(dirty)
         elif mode == "blob":
             fingerprint = record["fingerprint"]
-            if not isinstance(fingerprint, str):
-                raise SnapshotError(
-                    f"region {name!r}: fingerprint at chain document "
-                    f"{position} must be a string")
         key.append((mode, chunk_size, index, dirty, fingerprint))
-    if len(records) == 1:
-        # A root-only chain: the root's record is the tip's.
-        key.append(_index_fields(name, _index_box(base), 0))
     return tuple(key)
 
 
@@ -870,17 +903,11 @@ def _fold_region(name: str, records: list[dict],
     return bytes(image)
 
 
-def compact_chain(documents: list[dict]) -> dict:
-    """Squash a root-first delta chain into one full snapshot document
-    (restorable everywhere a directly captured one is)."""
-    return materialize_chain(documents)
-
-
 def load_chain(path: str) -> list[dict]:
     """Load a delta document and every ancestor, following each
     document's ``meta.parent_path`` (relative to the file that names
     it) until a full snapshot roots the chain.  Returns the documents
-    root-first, linkage verified."""
+    root-first, checked by :func:`verify_chain`."""
     documents = []
     seen = set()
     current = os.path.abspath(os.fspath(path))
@@ -890,7 +917,7 @@ def load_chain(path: str) -> list[dict]:
         seen.add(current)
         document = load_document(current)
         documents.append(document)
-        if document.get("schema") != SNAPSHOT_DELTA_SCHEMA_ID:
+        if not is_delta(document):
             break
         parent_path = (document.get("meta") or {}).get("parent_path")
         if parent_path is None:

@@ -24,6 +24,7 @@ sequential swarm runs uncached like the seed path).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -33,31 +34,66 @@ from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
                           validate_snapshot, validate_snapshot_delta)
 from .blobs import BlobStore
 
-__all__ = ["make_document", "unwrap_document", "save_document",
-           "load_document", "flatten_fleet_state", "swarm_spec",
-           "build_swarm_from_spec", "check_spec"]
+__all__ = ["make_document", "document_id", "is_delta", "open_document",
+           "save_document", "load_document", "flatten_fleet_state",
+           "swarm_spec", "build_swarm_from_spec", "check_spec"]
+
+
+def document_id(document: dict) -> str:
+    """Content address of a snapshot document: SHA-1 of its canonical
+    JSON (sorted keys, no whitespace).  Saving and reloading a document
+    preserves its id -- ``save_document`` writes sorted keys and JSON
+    scalars round-trip exactly."""
+    payload = json.dumps(document, sort_keys=True,
+                         separators=(",", ":")).encode()
+    return hashlib.sha1(payload).hexdigest()
 
 
 def make_document(kind: str, state: dict, blobs: BlobStore,
-                  meta: dict | None = None) -> dict:
-    document = {"schema": SNAPSHOT_SCHEMA_ID, "kind": kind,
-                "blobs": blobs.encode(), "state": state}
+                  meta: dict | None = None, parent: dict | None = None
+                  ) -> dict:
+    """Assemble a full envelope, or with ``parent`` (the document this
+    state was captured against) a ``repro.snapshot.delta/v1`` envelope
+    whose ``parent_id`` is the parent's :func:`document_id`."""
+    document = {"schema": (SNAPSHOT_SCHEMA_ID if parent is None
+                           else SNAPSHOT_DELTA_SCHEMA_ID),
+                "kind": kind, "blobs": blobs.encode(), "state": state}
+    if parent is not None:
+        document["parent_id"] = document_id(parent)
     if meta is not None:
         document["meta"] = meta
     return document
 
 
-def unwrap_document(document: dict, kind: str) -> tuple[dict, BlobStore]:
-    """Validate an envelope and return ``(state, blobs)``."""
-    errors = validate_snapshot(document)
+def is_delta(document) -> bool:
+    """Whether ``document`` claims the delta schema (it is validated as
+    one); anything else is validated as a full snapshot."""
+    return (isinstance(document, dict)
+            and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID)
+
+
+def open_document(document, what: str, kind: str | None = None,
+                  select=None) -> tuple[dict, BlobStore]:
+    """The one gate every snapshot read passes: validate ``document``
+    against the full or the delta schema (:func:`is_delta` chooses),
+    refuse a ``kind`` other than the expected one, and decode its blobs
+    -- all of them, or only the keys ``select(state)`` names.  Returns
+    ``(state, blobs)``; ``what`` names the document in errors."""
+    if is_delta(document):
+        errors = validate_snapshot_delta(document)
+    else:
+        errors = validate_snapshot(document)
     if errors:
-        raise SnapshotError("invalid snapshot document: "
-                            + "; ".join(errors))
-    if document["kind"] != kind:
+        raise SnapshotError(f"invalid {what}: " + "; ".join(errors))
+    if kind is not None and document["kind"] != kind:
         raise SnapshotError(
-            f"snapshot kind mismatch: document is {document['kind']!r}, "
+            f"snapshot kind mismatch: {what} is {document['kind']!r}, "
             f"expected {kind!r}")
-    return document["state"], BlobStore.decode(document["blobs"])
+    state, encoded = document["state"], document["blobs"]
+    if select is not None:
+        encoded = {key: encoded[key] for key in select(state)
+                   if key in encoded}
+    return state, BlobStore.decode(encoded)
 
 
 def save_document(document: dict, path: str) -> None:
@@ -83,20 +119,17 @@ def save_document(document: dict, path: str) -> None:
 
 
 def load_document(path: str) -> dict:
+    """Read and validate one document file; its blobs stay encoded
+    until the document is opened (:func:`repro.snapshot.delta.\
+open_chain`)."""
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path} is not a JSON document: {exc}") \
             from None
-    if (isinstance(document, dict)
-            and document.get("schema") == SNAPSHOT_DELTA_SCHEMA_ID):
-        errors = validate_snapshot_delta(document)
-    else:
-        errors = validate_snapshot(document)
-    if errors:
-        raise SnapshotError(f"invalid snapshot document {path}: "
-                            + "; ".join(errors))
+    open_document(document, f"snapshot document {path}",
+                  select=lambda state: ())
     return document
 
 

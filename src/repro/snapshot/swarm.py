@@ -14,11 +14,6 @@ region fingerprints, and the cache payload is applied *after* the
 rebuilt swarm's spin-up so the spin-up's own hit/miss accounting is
 overwritten -- a restored-and-continued fleet reports the same cache
 stats as one that never stopped.
-
-:func:`replay_to_seq` implements deterministic replay: restore, then
-re-drive sweeps until the merged event trace reaches a target sequence
-number, returning the exact record prefix.  Replay is re-execution, so
-it works from any snapshot and any reachable target.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from .blobs import BlobStore
 from .delta import capture_log
 from .session import restore_session, snapshot_session
 
-__all__ = ["snapshot_swarm", "restore_swarm", "replay_to_seq"]
+__all__ = ["snapshot_swarm", "restore_swarm"]
 
 
 def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
@@ -96,34 +91,6 @@ def restore_swarm(swarm, snap: dict, blobs: BlobStore) -> None:
         raise SnapshotError(
             "rebuilt swarm has a state-digest cache but the snapshot "
             "was taken without one")
-
-
-def replay_to_seq(swarm, snap: dict, blobs: BlobStore, target_seq: int, *,
-                  stagger_seconds: float = 0.0, max_sweeps: int = 64) -> list:
-    """Restore ``swarm`` from ``snap`` and re-drive it until the merged
-    trace covers ``target_seq``; return records ``0..target_seq``.
-
-    The restored fleet is swept deterministically until its merged
-    event trace contains the target sequence number, so any event of
-    the original timeline at or after the checkpoint can be
-    reproduced exactly.  Raises :class:`SnapshotError` if the target is
-    not reached within ``max_sweeps`` (e.g. a quarantined-out fleet
-    that no longer emits events).
-    """
-    if target_seq < 0:
-        raise SnapshotError("replay target seq cannot be negative")
-    restore_swarm(swarm, snap, blobs)
-    records = swarm.merged_trace_records()
-    for _ in range(max_sweeps):
-        if len(records) > target_seq:
-            break
-        swarm.sweep(stagger_seconds=stagger_seconds)
-        records = swarm.merged_trace_records()
-    if len(records) <= target_seq:
-        raise SnapshotError(
-            f"replay reached only {len(records)} events after "
-            f"{max_sweeps} sweeps; target seq {target_seq} unreachable")
-    return records[:target_seq + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 3. **Sharded fleet** -- the same contract through a 256-member
    :class:`repro.perf.fleet.FleetEngine` with two shard workers, deltas
    captured shard-parallel, and a delta at most half a full snapshot.
-4. **Compaction** -- ``compact_chain`` squashes a chain into one full
-   document that byte-matches the folded chain, survives a disk round
-   trip and restores identically.
+4. **Compaction** -- ``materialize_chain`` (what ``repro snapshot
+   compact`` runs) squashes a chain into one full document that
+   byte-matches the direct full snapshot, survives a disk round trip and
+   restores identically.
 5. **Bisection** -- on a fault-injected fleet checkpointed every sweep,
    ``bisect_replay`` finds the exact first ``breaker-state`` event and
    the exact first record past a simulated-time threshold deep in the
@@ -40,8 +41,8 @@ from repro.perf.fleet import FleetEngine, FleetSpec
 from repro.perf.harness import apply_update, learn_update
 from repro.perf.snapshot import build_report
 from repro.services.swarm import Swarm
-from repro.snapshot import (bisect_replay, compact_chain, linear_scan,
-                            load_document, materialize_chain, save_document)
+from repro.snapshot import (bisect_replay, linear_scan, load_document,
+                            materialize_chain, save_document)
 from repro.snapshot.delta import _log_instances
 
 SIZE = 3          # swarm size for the profile/clock gates
@@ -216,7 +217,7 @@ def test_sharded_fleet_chain_folds_and_continues(fleet):
 def test_compacted_chain_is_one_restorable_full_document(variants,
                                                          tmp_path):
     run = variants[-1]
-    compacted = compact_chain(run["chain"])
+    compacted = materialize_chain(run["chain"])
     assert canonical(compacted) == canonical(run["full"]), \
         "compact: squashed chain differs from the direct full snapshot"
     path = tmp_path / "compacted.json"

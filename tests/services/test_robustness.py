@@ -7,6 +7,7 @@ from repro.core.messages import AttestationRequest
 from repro.core.resilience import RetryPolicy
 from repro.net.channel import Verdict
 from repro.net.faults import BernoulliLoss, FaultPipeline, LatencyJitter
+from repro.services.attestd import AttestationService, ServiceRequest
 from repro.services.monitor import AttestationMonitor, MonitorPolicy
 from repro.services.swarm import Swarm, SweepReport
 from tests.conftest import tiny_config
@@ -127,6 +128,20 @@ class TestSweepReportSplit:
         assert report.refused == ["device-001"]
         assert report.no_response == []
         assert not report.healthy
+
+    def test_service_buckets_silence_like_the_sweep(self):
+        """The service's verdicts use the sweep's split: silence from a
+        prover that rejected the request is ``refused``, silence from
+        the channel is ``no_response``."""
+        service = AttestationService(3, tenants=1, backends=1,
+                                     device_config=tiny_config(),
+                                     seed="split-service")
+        service.members[1].session.channel.adversary = DropAllRequests()
+        service.members[2].session.channel.adversary = RefuseViaBadTag()
+        records = service.process([ServiceRequest(0.0, index, index)
+                                   for index in range(3)])
+        assert [record.verdict for record in records] == \
+            ["trusted", "no_response", "refused"]
 
     def test_compromised_state_still_untrusted(self):
         fleet = Swarm(2, device_config=tiny_config(), seed="split-3")

@@ -31,12 +31,11 @@ from repro.obs.telemetry import Telemetry
 from repro.perf.fleet import FleetEngine, FleetSpec
 from repro.services.swarm import Swarm
 from repro.snapshot import (BlobStore, bisect_replay,
-                            checkpoint_trace_length, compact_chain,
-                            document_id, linear_scan, load_chain,
-                            load_document, materialize_chain,
-                            save_document, verify_chain)
+                            checkpoint_trace_length, document_id,
+                            linear_scan, load_chain, load_document,
+                            materialize_chain, save_document, verify_chain)
 from repro.snapshot import delta as delta_module
-from repro.snapshot.codec import b64, unb64
+from repro.snapshot.codec import b64, rng_state, unb64
 from repro.snapshot.delta import _log_instances, _session_states
 from repro.snapshot.swarm import _decode_cache_key, _encode_cache_key
 
@@ -202,11 +201,27 @@ class TestDeltaChain:
         assert "chunks" not in modes
         assert canonical(materialize_chain(chain)) == canonical(full)
 
-    def test_compact_equals_materialize(self):
+    def test_compact_equals_materialize(self, tmp_path):
+        """``repro snapshot compact`` writes what ``materialize_chain``
+        folds: the full snapshot of the tip."""
         swarm = build_swarm()
         swarm.sweep()
-        chain, full = capture_chain(swarm, 2)
-        assert canonical(compact_chain(chain)) == canonical(full)
+        chain = [swarm.snapshot()]
+        for round_index in range(2):
+            rewrite(swarm, round_index)
+            swarm.sweep()
+            # parent_id hashes the parent with its meta, so each link's
+            # parent_path is in place before the next capture.
+            chain.append(swarm.snapshot(parent=chain[-1]))
+            chain[-1]["meta"] = {"parent_path": f"{round_index}.json"}
+        for position, document in enumerate(chain):
+            save_document(document, tmp_path / f"{position}.json")
+        out = tmp_path / "compacted.json"
+        assert main(["snapshot", "compact", str(tmp_path / "2.json"),
+                     "--out", str(out)]) == 0
+        assert (canonical(load_document(out))
+                == canonical(materialize_chain(chain))
+                == canonical(swarm.snapshot()))
 
     def test_restore_plus_continue_equals_uninterrupted(self):
         live = build_swarm(seed="delta-continue")
@@ -310,6 +325,96 @@ class TestDeltaChain:
                 else load_chain
             with pytest.raises(SnapshotError, match=re.escape(str(path))):
                 loader(path)
+
+
+def continuation(target):
+    """The next sweep of a restored fleet and everything it leaves
+    observable: report, merged trace, registry, freshness state."""
+    view = {"report": target.sweep(),
+            "trace": target.merged_trace_records(),
+            "registry": target.merged_registry().dump()}
+    if isinstance(target, Swarm):
+        view["freshness"] = target.freshness_fingerprint()
+    else:
+        view["states"] = target.device_states()
+        view["cache"] = target.cache_stats()
+    return view
+
+
+def session_continuation(session):
+    """A session's next round and everything it leaves observable."""
+    verifier = session.verifier
+    return {"result": session.attest_once(),
+            "trace": [event.as_dict() for event in session.telemetry.trace],
+            "registry": session.telemetry.registry.dump(),
+            "freshness": [verifier.freshness_state.next_counter,
+                          rng_state(verifier.freshness_state.rng),
+                          rng_state(verifier._challenge_rng)]}
+
+
+class TestRestoreFromChain:
+    """``restore(chain)`` equals ``restore(materialize_chain(chain))``:
+    a chain handed straight to restore opens to the same state its
+    folded full document does."""
+
+    def test_session_chain(self):
+        def build():
+            return build_swarm(size=1, seed="chain-session").members[0] \
+                .session
+
+        live = build()
+        live.attest_once()
+        chain = [live.snapshot()]
+        for round_index in range(2):
+            live.device.ram.load(128, bytes([round_index]) * 300)
+            live.attest_once()
+            chain.append(live.snapshot(parent=chain[-1]))
+        assert chain[-1]["kind"] == "session"
+        from_chain, from_document = build(), build()
+        from_chain.restore(chain)
+        from_document.restore(materialize_chain(chain))
+        assert (session_continuation(from_chain)
+                == session_continuation(from_document)
+                == session_continuation(live))
+
+    def test_swarm_chain(self):
+        live = build_swarm(seed="chain-swarm")
+        live.sweep()
+        chain, _ = capture_chain(live, 2)
+        from_chain = build_swarm(seed="chain-swarm")
+        from_document = build_swarm(seed="chain-swarm")
+        from_chain.restore(chain)
+        from_document.restore(materialize_chain(chain))
+        assert (continuation(from_chain) == continuation(from_document)
+                == continuation(live))
+
+    def test_fleet_chain(self):
+        spec = FleetSpec(size=4,
+                         device_config=DeviceConfig(ram_size=8 * 1024,
+                                                    flash_size=16 * 1024,
+                                                    app_size=2 * 1024),
+                         observe=True, seed="chain-fleet")
+        with FleetEngine(spec, workers=2) as engine:
+            engine.sweep()
+            chain = [engine.snapshot()]
+            for _ in range(2):
+                engine.sweep()
+                chain.append(engine.snapshot(parent=chain[-1]))
+            expected = continuation(engine)
+        views = []
+        for documents in (chain, materialize_chain(chain)):
+            with FleetEngine(spec, workers=2) as resumed:
+                resumed.restore(documents)
+                views.append(continuation(resumed))
+        assert views[0] == views[1] == expected
+        # The same chain opens flattened into a sequential swarm (an
+        # uncached one: flattening drops the per-shard caches).
+        sequential = []
+        for documents in (chain, materialize_chain(chain)):
+            swarm = spec.build()
+            swarm.restore(documents)
+            sequential.append(continuation(swarm))
+        assert sequential[0] == sequential[1]
 
 
 def log_records(document):
@@ -1000,6 +1105,21 @@ class TestBisect:
                                documents[0], predicate)
         assert baseline["seq"] == expected["seq"]
         assert found["events_replayed"] < baseline["events_replayed"]
+
+    def test_chain_and_materialized_checkpoints_bisect_alike(self):
+        documents, records = self.run_with_checkpoints("bisect-chain", 3)
+        assert [document["schema"] for document in documents[1:]] == \
+            [SNAPSHOT_DELTA_SCHEMA_ID] * 3
+        materialized = [materialize_chain(documents[:position + 1])
+                        for position in range(len(documents))]
+        threshold = records[-1]["time"] * 0.5
+        predicate = lambda record: record["time"] >= threshold
+        found = [bisect_replay(build_swarm(size=2, seed="bisect-chain"),
+                               checkpoints, predicate)
+                 for checkpoints in (documents, materialized)]
+        assert found[0] == found[1]
+        assert found[0]["seq"] == next(r for r in records
+                                       if predicate(r))["seq"]
 
     def test_checkpoint_trace_length_anchors_the_axis(self):
         documents, records = self.run_with_checkpoints("bisect-len", 2)

@@ -1,11 +1,23 @@
-"""``repro.snapshot`` sits below the benchmark harnesses: no module in
-it may import ``repro.perf``, at module level or inside a function."""
+"""Layering of ``repro.snapshot``.
+
+It sits below the benchmark harnesses: no module in it may import
+``repro.perf``, at module level or inside a function.  And it has one
+way in: outside ``open_document`` (the schema dispatch every read
+passes, used by ``open_chain``), nothing in ``src/`` validates a
+snapshot document or decodes its blobs, so no second read path can
+grow back."""
 
 import ast
 
 from tests.conftest import REPO
 
 SNAPSHOT_DIR = REPO / "src" / "repro" / "snapshot"
+SRC_DIR = REPO / "src"
+
+#: Calls only the one open helper may make.
+OPEN_CALLS = {"validate_snapshot", "validate_snapshot_delta",
+              "BlobStore.decode"}
+OPEN_HELPER = "open_document"
 
 
 def perf_imports(path) -> list[str]:
@@ -41,3 +53,53 @@ def test_detector_sees_both_import_forms(tmp_path):
     module.write_text("def f():\n    from ..perf.fleet import x\n"
                       "import repro.perf\nfrom .. import perf\n")
     assert len(perf_imports(module)) == 3
+
+
+def _call_name(node) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id == "BlobStore":
+            return f"BlobStore.{func.attr}"
+        return func.attr
+    return None
+
+
+def open_calls(path) -> list[str]:
+    """Calls of :data:`OPEN_CALLS` in one module outside a function
+    named :data:`OPEN_HELPER`."""
+    found = []
+
+    def visit(node, inside_helper):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_helper = inside_helper or node.name == OPEN_HELPER
+        if (isinstance(node, ast.Call) and not inside_helper
+                and _call_name(node) in OPEN_CALLS):
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_helper)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def test_documents_are_opened_in_one_place():
+    modules = sorted(SRC_DIR.rglob("*.py"))
+    assert modules
+    offending = [hit for path in modules for hit in open_calls(path)]
+    assert offending == []
+
+
+def test_open_detector_sees_every_form(tmp_path):
+    module = tmp_path / "bad.py"
+    module.write_text(
+        "def open_document(document):\n"
+        "    validate_snapshot(document)\n"
+        "    return BlobStore.decode(document['blobs'])\n"
+        "def sneaky(document):\n"
+        "    schema.validate_snapshot_delta(document)\n"
+        "    store = BlobStore.decode(document['blobs'])\n"
+        "    return validate_snapshot(document), store\n"
+        "text = b'x'.decode()\n")
+    assert open_calls(module) == ["bad.py:5", "bad.py:6", "bad.py:7"]

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import SnapshotError
 from repro.obs.schema import SNAPSHOT_SCHEMA_ID, validate_snapshot
 from repro.snapshot import (BlobStore, load_document, make_document,
-                            save_document, unwrap_document)
+                            save_document)
+from repro.snapshot.delta import open_chain
 
 
 def minimal_session_document():
@@ -57,13 +58,13 @@ class TestValidateSnapshot:
 
 
 class TestDocumentPlumbing:
-    def test_unwrap_rejects_kind_mismatch(self):
+    def test_open_rejects_kind_mismatch(self):
         with pytest.raises(SnapshotError, match="kind"):
-            unwrap_document(minimal_session_document(), "swarm")
+            open_chain(minimal_session_document(), "swarm")
 
-    def test_unwrap_rejects_invalid_document(self):
+    def test_open_rejects_invalid_document(self):
         with pytest.raises(SnapshotError):
-            unwrap_document({"schema": "nope"}, "session")
+            open_chain({"schema": "nope"}, "session")
 
     def test_disk_round_trip(self, tmp_path):
         blobs = BlobStore()

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from repro.errors import SnapshotError
 from repro.mcu.statecache import StateDigestCache
 from repro.perf.fleet import FleetEngine, FleetSpec
+from repro.services.attestd import AttestationService, build_schedule
 from repro.services.swarm import Swarm
 from repro.snapshot import build_swarm_from_spec, swarm_spec
+from tests.conftest import tiny_config
 
 
 def fingerprint(swarm):
@@ -201,3 +203,76 @@ class TestFleetEngine:
         with FleetEngine(spec, workers=1) as other:
             with pytest.raises(SnapshotError, match="worker"):
                 other.restore(document)
+
+
+def hostile_swarm():
+    return Swarm(2, device_config=tiny_config(), observe=True,
+                 seed="hostile-full")
+
+
+def hostile_service():
+    return AttestationService(2, tenants=1, backends=1,
+                              device_config=tiny_config(), observe=True,
+                              seed="hostile-full")
+
+
+def run_swarm(swarm):
+    swarm.sweep()
+    swarm.sweep()
+
+
+def run_service(service):
+    service.serve_schedule(build_schedule(2, waves=2))
+
+
+def untouched_view(target):
+    """What a refused restore must leave as a never-restored twin has
+    it: freshness, registries, breaker states, clocks, memory."""
+    members = target.members
+    view = {"freshness": target.freshness_fingerprint(),
+            "registry": target.merged_registry().dump(),
+            "now": [member.session.sim.now for member in members],
+            "regions": [bytes(region._data) for member in members
+                        for region in member.session.device.memory
+                        if region._data is not None]}
+    if isinstance(target, Swarm):
+        view["states"] = target.device_states()
+    return view
+
+
+def set_log(path, value):
+    """Overwrite one log of member 1's session (member 0 restores
+    first, so a late failure would leave it half-restored)."""
+    def mutate(document):
+        box = document["state"]["members"][1]["session"]
+        *parents, field = path.split(".")
+        for part in parents:
+            box = box[part]
+        box[field] = value
+    return mutate
+
+
+class TestHostileFullDocuments:
+    """A full document whose logs are not lists is refused by the one
+    read path before any restore step runs: the target stays equal to
+    a never-restored twin."""
+
+    @pytest.mark.parametrize("build, run, mutate", [
+        (hostile_swarm, run_swarm,
+         set_log("channel.transcript", {"base": 0, "tail": []})),
+        (hostile_swarm, run_swarm,
+         set_log("anchor.busy_intervals", {"base": 0, "tail": []})),
+        (hostile_swarm, run_swarm, set_log("verifier_node.results", 5)),
+        (hostile_service, run_service,
+         set_log("channel.transcript", {"base": 0, "tail": []})),
+    ], ids=["transcript-tail", "busy-intervals-tail", "results-int",
+            "service-transcript-tail"])
+    def test_refused_without_mutation(self, build, run, mutate):
+        live = build()
+        run(live)
+        document = json.loads(json.dumps(live.snapshot()))
+        mutate(document)
+        target, twin = build(), build()
+        with pytest.raises(SnapshotError):
+            target.restore(document)
+        assert untouched_view(target) == untouched_view(twin)
