@@ -260,9 +260,10 @@ class Session:
         restore, continuing the run is byte-identical to a run that was
         never interrupted.
         """
-        from ..snapshot import restore_session
+        from ..snapshot.codec import staged
         from ..snapshot.delta import open_chain
-        restore_session(self, *open_chain(documents, "session"))
+        from ..snapshot.session import stage_session
+        staged(stage_session, self, *open_chain(documents, "session"))()
 
     def summary(self) -> dict:
         """Machine-readable snapshot of the deployment and its history.

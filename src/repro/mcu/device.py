@@ -358,22 +358,6 @@ class Device:
             self.battery.drain_active(delta)
             self._energy_last_cycle = self.cpu.cycle_count
 
-    def snapshot_state(self, blobs) -> dict:
-        """Capture every runtime-mutable hardware block of this device.
-
-        Region images are deduplicated into ``blobs`` (a
-        :class:`~repro.snapshot.blobs.BlobStore`); see
-        :func:`repro.snapshot.snapshot_device` for the exact inventory.
-        """
-        from ..snapshot import snapshot_device
-        return snapshot_device(self, blobs)
-
-    def restore_state(self, snap: dict, blobs) -> None:
-        """Overwrite this (freshly rebuilt and booted) device's mutable
-        state from a snapshot taken of an identically-built device."""
-        from ..snapshot import restore_device
-        restore_device(self, snap, blobs)
-
     def sync_energy(self) -> None:
         """Flush energy accounting for cycles consumed inside nested
         interrupt dispatch (call before reading battery state)."""

@@ -170,6 +170,24 @@ def _cache_stats(swarm: Swarm) -> dict:
     return cache.stats() if cache is not None else {}
 
 
+_STAGED = None     # this shard's staged restore, see FleetEngine.restore
+
+
+def _stage(swarm: Swarm, state: dict, blobs) -> None:
+    global _STAGED
+    from ..snapshot.codec import staged
+    from ..snapshot.swarm import stage_swarm
+    _STAGED = staged(stage_swarm, swarm, state, blobs)
+
+
+def _commit(swarm: Swarm, apply: bool) -> None:
+    """Run (``apply``) or drop this shard's staged commit."""
+    global _STAGED
+    commit, _STAGED = _STAGED, None
+    if apply:
+        commit()
+
+
 def _capture(swarm: Swarm, base=None) -> tuple:
     """Capture one shard (as a delta when ``base``, a
     :class:`~repro.snapshot.DeltaBase`, is given) with its own
@@ -408,18 +426,24 @@ restore>` accepts the same document for sequential resume.
         The engine must have been created with the same spec and
         resolve to the same worker count as the captured one (shard
         boundaries and digest caches are per-worker state); to resume a
-        fleet document on different hardware, restore it into a
-        sequential :class:`~repro.services.swarm.Swarm` instead.
+        fleet document on different hardware, restore it into an
+        uncached sequential :class:`~repro.services.swarm.Swarm`.
+        Every shard stages before any shard commits, so a document
+        refused on one shard leaves every shard as it was.
         """
-        from ..snapshot import restore_swarm
         from ..snapshot.delta import open_chain
         state, blobs = open_chain(documents, "fleet")
         self._check_layout(state, "snapshot",
                            "restore into a sequential Swarm to "
                            "repartition")
         self.start()
-        self._per_shard(restore_swarm, [(shard["swarm"], blobs)
-                                        for shard in state["shards"]])
+        try:
+            self._per_shard(_stage, [(shard["swarm"], blobs)
+                                     for shard in state["shards"]])
+        except SnapshotError:
+            self.each(_commit, False)
+            raise
+        self.each(_commit, True)
         self.sweeps_run = state["sweeps_run"]
 
 

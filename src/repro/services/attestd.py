@@ -475,9 +475,10 @@ class AttestationService:
     def restore(self, document: dict) -> None:
         """Overwrite this (freshly rebuilt) service from a document (a
         chain of one: services have no delta form)."""
+        from ..snapshot.codec import staged
         from ..snapshot.delta import open_chain
-        from ..snapshot.service import restore_service
-        restore_service(self, *open_chain(document, "service"))
+        from ..snapshot.service import stage_service
+        staged(stage_service, self, *open_chain(document, "service"))()
 
 
 # ---------------------------------------------------------------------------

@@ -463,9 +463,10 @@ class Swarm:
         flattened into fleet order); the rebuilt swarm must have the
         same constructor parameters as the captured one.
         """
-        from ..snapshot import restore_swarm
+        from ..snapshot.codec import staged
         from ..snapshot.delta import open_chain
-        restore_swarm(self, *open_chain(documents, "swarm"))
+        from ..snapshot.swarm import stage_swarm
+        staged(stage_swarm, self, *open_chain(documents, "swarm"))()
 
     def replay_to_seq(self, documents, target_seq: int, *,
                       stagger_seconds: float = 0.0,

@@ -38,34 +38,35 @@ Entry points:
 
 Every restore reads its documents through one gate,
 :func:`repro.snapshot.delta.open_chain` (a full document is a chain of
-one), which runs every document-only check before the target is
-touched: a hostile document raises ``SnapshotError`` and leaves the
-target as it was.
+one), which runs every document-only check.  It then restores in two
+phases (:func:`repro.snapshot.codec.staged`): a *stage* reads the
+opened state once, decodes it and checks it against the rebuilt
+target, every member of a swarm, service or fleet shard before any
+commits; a *commit* only assigns.  A hostile document therefore raises
+``SnapshotError`` and leaves the target as it was.
 """
 
 from .bisect import bisect_replay, checkpoint_trace_length, linear_scan
 from .blobs import BlobStore
 from .codec import (decode_message, encode_adversary, encode_message,
-                    restore_adversary, restore_rng, rng_state)
+                    rng_state)
 from .delta import (DeltaBase, ParentMember, capture_region_delta,
                     load_chain, materialize_chain, parent_blob_keys,
                     unwrap_parent, verify_chain)
-from .device import restore_device, snapshot_device
+from .device import snapshot_device
 from .document import (build_swarm_from_spec, document_id,
                        flatten_fleet_state, load_document, make_document,
                        save_document, swarm_spec)
-from .service import restore_service, snapshot_service
-from .session import restore_session, snapshot_session
-from .swarm import restore_swarm, snapshot_swarm
+from .service import snapshot_service
+from .session import snapshot_session
+from .swarm import snapshot_swarm
 
-__all__ = ["BlobStore", "snapshot_device", "restore_device",
-           "snapshot_session", "restore_session", "snapshot_swarm",
-           "restore_swarm", "snapshot_service", "restore_service",
-           "make_document", "save_document",
-           "load_document", "flatten_fleet_state", "swarm_spec",
-           "build_swarm_from_spec",
-           "rng_state", "restore_rng", "encode_message", "decode_message",
-           "encode_adversary", "restore_adversary",
+__all__ = ["BlobStore", "snapshot_device", "snapshot_session",
+           "snapshot_swarm", "snapshot_service", "make_document",
+           "save_document", "load_document", "flatten_fleet_state",
+           "swarm_spec", "build_swarm_from_spec",
+           "rng_state", "encode_message", "decode_message",
+           "encode_adversary",
            "DeltaBase", "ParentMember", "capture_region_delta",
            "document_id", "load_chain", "materialize_chain",
            "parent_blob_keys", "unwrap_parent", "verify_chain",

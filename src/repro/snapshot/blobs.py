@@ -34,6 +34,7 @@ class BlobStore:
 
     def __init__(self):
         self._blobs: dict[str, bytes] = {}
+        self._prefixes: dict[str, bytes] = {}   # see prefix()
 
     def __len__(self) -> int:
         return len(self._blobs)
@@ -66,6 +67,13 @@ class BlobStore:
             raise SnapshotError(
                 f"snapshot references missing blob {fingerprint_hex}") \
                 from None
+
+    def prefix(self, text) -> bytes:
+        """A region record's base64 ``prefix``, decoded once per distinct
+        text (checked by ``open_chain``, written by the device stage)."""
+        if not isinstance(text, str) or text not in self._prefixes:
+            self._prefixes[text] = unb64(text)
+        return self._prefixes[text]
 
     def merge(self, other: "BlobStore") -> None:
         """Union another store in (collision-checked)."""

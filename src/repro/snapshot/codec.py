@@ -15,20 +15,59 @@ gets an explicit, reversible encoding here:
   state (RNG positions, Gilbert-Elliott burst flag); the configuration
   itself is rebuilt by the caller, and restore refuses a type mismatch.
 
-Every ``restore_*`` function overwrites state on an already-rebuilt
-object instead of constructing one: restore is deterministic rebuild
-plus overwrite, never deserialization of arbitrary types.
+Every ``stage_*`` function checks and decodes a captured state against
+an already-rebuilt object and appends the *commit* that overwrites it
+(see :func:`staged`): restore is deterministic rebuild plus overwrite,
+never deserialization of arbitrary types.
 """
 
 from __future__ import annotations
 
 import binascii
+import gc
 
 from ..core.messages import AttestationRequest, AttestationResponse
 from ..errors import ProtocolError, SnapshotError
 
-__all__ = ["b64", "unb64", "rng_state", "restore_rng", "encode_message",
-           "decode_message", "encode_adversary", "restore_adversary"]
+__all__ = ["b64", "unb64", "rng_state", "stage_rng", "encode_message",
+           "decode_message", "encode_adversary", "stage_adversary",
+           "overwrite", "staged"]
+
+
+def staged(stage, *args):
+    """Run ``stage(*args, commits)`` -- a restore's one read of its
+    document, which checks and decodes and appends ``commit`` closures
+    that only assign -- and return one commit running them all.  A
+    lookup, type, value or attribute error raised while reading the
+    document becomes a :class:`SnapshotError`."""
+    commits = []
+    # A stage builds only objects that outlive it, and the target's old
+    # state stays alive until the commit: a collection in between would
+    # rescan both and free nothing, so the collector pauses.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        stage(*args, commits)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise SnapshotError(f"malformed snapshot document: "
+                            f"{type(exc).__name__}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
+
+    def commit():
+        for commit_part in commits:
+            commit_part()
+    return commit
+
+
+def overwrite(commits: list, target, /, **fields) -> None:
+    """Stage setting ``target``'s attributes to ``fields``, values the
+    caller has already read and decoded."""
+    def commit():
+        for name, value in fields.items():
+            setattr(target, name, value)
+    commits.append(commit)
 
 
 def b64(data: bytes) -> str:
@@ -58,12 +97,12 @@ def rng_state(rng) -> dict:
             "root_value": rng._root_value.hex()}
 
 
-def restore_rng(rng, state: dict) -> None:
-    """Overwrite ``rng`` with a captured chain state."""
-    rng._key = bytes.fromhex(state["key"])
-    rng._value = bytes.fromhex(state["value"])
-    rng._root_key = bytes.fromhex(state["root_key"])
-    rng._root_value = bytes.fromhex(state["root_value"])
+def stage_rng(rng, state: dict, commits: list) -> None:
+    """Stage overwriting ``rng`` with a captured chain state."""
+    overwrite(commits, rng, _key=bytes.fromhex(state["key"]),
+              _value=bytes.fromhex(state["value"]),
+              _root_key=bytes.fromhex(state["root_key"]),
+              _root_value=bytes.fromhex(state["root_value"]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +162,8 @@ def encode_adversary(adversary) -> dict | None:
     raise SnapshotError(f"cannot snapshot adversary type {name}")
 
 
-def restore_adversary(adversary, state: dict | None) -> None:
-    """Overwrite the mutable state of a rebuilt adversary."""
+def stage_adversary(adversary, state: dict | None, commits: list) -> None:
+    """Stage overwriting the mutable state of a rebuilt adversary."""
     from ..net.faults import FaultModel, FaultPipeline, GilbertElliottLoss
     if state is None:
         if adversary is not None and not _is_passthrough(adversary):
@@ -141,16 +180,12 @@ def restore_adversary(adversary, state: dict | None) -> None:
         if len(adversary.models) != len(state["models"]):
             raise SnapshotError("fault pipeline length mismatch")
         for model, model_state in zip(adversary.models, state["models"]):
-            restore_adversary(model, model_state)
-        return
+            stage_adversary(model, model_state, commits)
+    elif isinstance(adversary, FaultModel):
+        stage_rng(adversary._rng, state["rng"], commits)
     if isinstance(adversary, GilbertElliottLoss):
-        restore_rng(adversary._rng, state["rng"])
-        adversary.in_burst = state["in_burst"]
-        return
-    if isinstance(adversary, FaultModel):
-        restore_rng(adversary._rng, state["rng"])
-        return
-    # Stateless pass-through: nothing to overwrite.
+        overwrite(commits, adversary, in_burst=state["in_burst"])
+    # A stateless pass-through has nothing to overwrite.
 
 
 def _is_passthrough(adversary) -> bool:

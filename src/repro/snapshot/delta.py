@@ -76,7 +76,6 @@ from itertools import islice
 
 from ..errors import SnapshotError
 from .blobs import BlobStore
-from .codec import unb64
 from .document import (document_id, flatten_fleet_state, is_delta,
                        load_document, make_document, open_document)
 
@@ -695,7 +694,7 @@ def _check_images(state: dict, kind: str, blobs: BlobStore) -> None:
                 raise SnapshotError(f"region {name!r}: image is "
                                     f"{len(image)} bytes, window is "
                                     f"{window}")
-            if len(unb64(record.get("prefix"))) != exclude:
+            if len(blobs.prefix(record.get("prefix"))) != exclude:
                 raise SnapshotError(f"region {name!r}: prefix is not "
                                     f"{exclude} bytes")
             chunk_size, index = _index_fields(name, record, 0)

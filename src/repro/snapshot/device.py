@@ -3,8 +3,9 @@
 The capture/restore contract mirrors Simics-style checkpointing:
 *restore never constructs a device*.  The caller rebuilds a device from
 the same :class:`~repro.mcu.device.DeviceConfig` (construction,
-provisioning and boot are deterministic), and :func:`restore_device`
-then overwrites exactly the state that evolves at runtime:
+provisioning and boot are deterministic); :func:`stage_device` checks
+and decodes a captured state against it, and its commit then
+overwrites exactly the state that evolves at runtime:
 
 * memory region contents and their write-chain fingerprints (images
   deduplicated through a :class:`~repro.snapshot.blobs.BlobStore`);
@@ -26,10 +27,10 @@ from __future__ import annotations
 from ..errors import SnapshotError
 from ..mcu.cpu import ExecutionContext
 from .blobs import BlobStore
-from .codec import b64, unb64
+from .codec import b64, overwrite, unb64
 from .delta import capture_log, capture_region_delta, chunk_index
 
-__all__ = ["snapshot_device", "restore_device"]
+__all__ = ["snapshot_device", "stage_device"]
 
 #: Contexts recreated by deterministic construction + boot; anything
 #: else in ``device._contexts`` was made at runtime and must travel.
@@ -88,8 +89,11 @@ def snapshot_device(device, blobs: BlobStore, parent=None) -> dict:
     return snap
 
 
-def restore_device(device, snap: dict, blobs: BlobStore) -> None:
-    """Overwrite a freshly rebuilt ``device`` with captured state."""
+def stage_device(device, snap: dict, blobs: BlobStore,
+                 commits: list) -> None:
+    """Stage overwriting a freshly rebuilt ``device`` with captured
+    state.  Region prefixes and images are read from ``blobs``, where
+    :func:`repro.snapshot.delta.open_chain` checked their lengths."""
     profile = (device.boot_profile.name
                if device.boot_profile is not None else None)
     if profile != snap["boot_profile"]:
@@ -97,60 +101,59 @@ def restore_device(device, snap: dict, blobs: BlobStore) -> None:
             f"boot profile mismatch: snapshot has {snap['boot_profile']!r},"
             f" rebuilt device booted {profile!r}")
 
+    writes = []
     for record in snap["regions"]:
-        try:
-            region = device.memory.region(record["name"])
-        except KeyError:
+        region = (device.memory.region(record["name"])
+                  if record["name"] in device.memory else None)
+        if region is None or region._data is None:   # absent, or MMIO
             raise SnapshotError(
-                f"snapshot region {record['name']!r} does not exist on "
-                f"the rebuilt device") from None
+                f"snapshot region {record['name']!r} is not a memory "
+                f"region of the rebuilt device")
         if (region.size != record["size"]
                 or region.fingerprint_exclude_below != record["exclude"]):
             raise SnapshotError(
                 f"region {record['name']!r} geometry mismatch")
-        exclude = record["exclude"]
-        image = blobs.get(record["fingerprint"])
-        if len(image) != region.size - exclude:
-            raise SnapshotError(
-                f"region {record['name']!r} image length mismatch")
-        prefix = unb64(record["prefix"])
-        if len(prefix) != exclude:
-            raise SnapshotError(
-                f"region {record['name']!r} prefix length mismatch")
-        # Direct overwrite, *not* store(): the write chain is not
-        # recomputable from content, so the captured fingerprint is
-        # reinstated verbatim alongside the bytes it witnesses.
-        region._data[:exclude] = prefix
-        region._data[exclude:] = image
-        region._fingerprint = bytes.fromhex(record["fingerprint"])
-        # The overwrite bypassed note_write, so any attached digest tree
-        # no longer describes the bytes.  Roots are pure functions of
-        # content, so invalidate-and-rebuild on next use is byte-identical
-        # to a round-tripped tree -- no tree state in the document.
-        if region.digest_tree is not None:
-            region.digest_tree.invalidate()
-
+        writes.append((region, record["exclude"],
+                       blobs.prefix(record["prefix"]),
+                       blobs.get(record["fingerprint"]),
+                       bytes.fromhex(record["fingerprint"])))
     registers = unb64(snap["mpu"])
     if len(registers) != len(device.mpu._registers):
         raise SnapshotError("MPU register file size mismatch")
-    device.mpu._registers[:] = registers
-    device.mpu._decoded = None
 
-    device.boot_log = list(snap["boot_log"])
-    device.cpu.cycle_count = snap["cpu_cycles"]
-    device._energy_last_cycle = snap["energy_last_cycle"]
-    battery = snap["battery"]
-    device.battery.consumed_mj = battery["consumed_mj"]
-    device.battery.active_cycles = battery["active_cycles"]
-    device.battery.sleep_seconds = battery["sleep_seconds"]
+    def commit():
+        for region, exclude, prefix, image, fingerprint in writes:
+            # Direct overwrite, *not* store(): the write chain is not
+            # recomputable from content, so the captured fingerprint is
+            # reinstated verbatim alongside the bytes it witnesses.
+            region._data[:exclude] = prefix
+            region._data[exclude:] = image
+            region._fingerprint = fingerprint
+            # The overwrite bypassed note_write, so any attached digest
+            # tree no longer describes the bytes.  Roots are pure
+            # functions of content, so invalidate-and-rebuild on next use
+            # is byte-identical to a round-tripped tree -- no tree state
+            # in the document.
+            if region.digest_tree is not None:
+                region.digest_tree.invalidate()
+        device.mpu._registers[:] = registers
+        device.mpu._decoded = None
+    commits.append(commit)
 
-    for name in [n for n in device._contexts if n not in _BUILTIN_CONTEXTS]:
-        del device._contexts[name]
+    contexts = {name: ctx for name, ctx in device._contexts.items()
+                if name in _BUILTIN_CONTEXTS}
     for record in snap["contexts"]:
-        device._contexts[record["name"]] = _decode_context(record)
-
-    _restore_clock(device.clock, snap["clock"])
-    _restore_interrupts(device.interrupts, snap["interrupts"])
+        contexts[record["name"]] = _decode_context(record)
+    overwrite(commits, device, boot_log=list(snap["boot_log"]),
+              _energy_last_cycle=snap["energy_last_cycle"],
+              _contexts=contexts)
+    overwrite(commits, device.cpu, cycle_count=snap["cpu_cycles"])
+    battery = snap["battery"]
+    overwrite(commits, device.battery, consumed_mj=battery["consumed_mj"],
+              active_cycles=battery["active_cycles"],
+              sleep_seconds=battery["sleep_seconds"])
+    _stage_clock(device.clock, snap["clock"], commits)
+    _stage_interrupts(device.interrupts, snap["interrupts"], commits)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +181,6 @@ def _snapshot_counter(counter) -> dict:
             "last_unwrapped": counter._last_unwrapped}
 
 
-def _restore_counter(counter, state: dict) -> None:
-    counter._base = state["base"]
-    counter._last_unwrapped = state["last_unwrapped"]
-
-
 def _snapshot_clock(clock) -> dict | None:
     if clock is None:
         return None
@@ -193,7 +191,7 @@ def _snapshot_clock(clock) -> dict | None:
     return state
 
 
-def _restore_clock(clock, state: dict | None) -> None:
+def _stage_clock(clock, state: dict | None, commits: list) -> None:
     if state is None:
         if clock is not None:
             raise SnapshotError("snapshot has no clock state but the "
@@ -202,10 +200,11 @@ def _restore_clock(clock, state: dict | None) -> None:
     if clock is None or clock.kind != state["kind"]:
         raise SnapshotError("clock kind mismatch between snapshot and "
                             "rebuilt device")
-    _restore_counter(clock.counter, state["counter"])
+    overwrite(commits, clock.counter, _base=state["counter"]["base"],
+              _last_unwrapped=state["counter"]["last_unwrapped"])
     if clock.kind == "software":
-        clock.wraps_signalled = state["wraps_signalled"]
-        clock.wraps_serviced = state["wraps_serviced"]
+        overwrite(commits, clock, wraps_signalled=state["wraps_signalled"],
+                  wraps_serviced=state["wraps_serviced"])
 
 
 def _snapshot_interrupts(interrupts, parent=None) -> dict:
@@ -219,9 +218,9 @@ def _snapshot_interrupts(interrupts, parent=None) -> dict:
                                    "device.interrupts.dropped")}
 
 
-def _restore_interrupts(interrupts, state: dict) -> None:
-    interrupts._pending = list(state["pending"])
-    interrupts.mask._bits = state["mask_bits"]
-    interrupts.coalesced_log = [tuple(entry) for entry in state["coalesced"]]
-    interrupts.dispatch_log = [tuple(entry) for entry in state["dispatched"]]
-    interrupts.dropped_log = [tuple(entry) for entry in state["dropped"]]
+def _stage_interrupts(interrupts, state: dict, commits: list) -> None:
+    overwrite(commits, interrupts, _pending=list(state["pending"]),
+              coalesced_log=[tuple(entry) for entry in state["coalesced"]],
+              dispatch_log=[tuple(entry) for entry in state["dispatched"]],
+              dropped_log=[tuple(entry) for entry in state["dropped"]])
+    overwrite(commits, interrupts.mask, _bits=state["mask_bits"])

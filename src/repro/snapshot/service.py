@@ -20,10 +20,11 @@ from ..errors import SnapshotError
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import Telemetry
 from .blobs import BlobStore
-from .session import restore_session, snapshot_session
-from .swarm import _restore_cache, _snapshot_cache
+from .codec import overwrite
+from .session import snapshot_session
+from .swarm import _snapshot_cache, stage_members
 
-__all__ = ["snapshot_service", "restore_service"]
+__all__ = ["snapshot_service", "stage_service"]
 
 
 def snapshot_service(service, blobs: BlobStore) -> dict:
@@ -48,17 +49,12 @@ def snapshot_service(service, blobs: BlobStore) -> dict:
     }
 
 
-def restore_service(service, snap: dict, blobs: BlobStore) -> None:
-    """Overwrite a freshly rebuilt ``service`` with captured state."""
-    captured = [(m["device_id"], m["index"], m["tenant"])
-                for m in snap["members"]]
-    rebuilt = [(m.device_id, m.index, m.tenant) for m in service.members]
-    if captured != rebuilt:
-        raise SnapshotError(
-            f"member set mismatch: snapshot has {len(captured)} members, "
-            f"rebuilt service disagrees on identity or tenancy")
-    for member, record in zip(service.members, snap["members"]):
-        restore_session(member.session, record["session"], blobs)
+def stage_service(service, snap: dict, blobs: BlobStore,
+                  commits: list) -> None:
+    """Stage overwriting a freshly rebuilt ``service`` with captured
+    state."""
+    stage_members(service, snap, blobs, ("device_id", "index", "tenant"),
+                  "service", commits)
     if set(snap["buckets"]) != set(service.buckets):
         raise SnapshotError("tenant set mismatch")
     for tenant, state in snap["buckets"].items():
@@ -68,30 +64,20 @@ def restore_service(service, snap: dict, blobs: BlobStore) -> None:
             raise SnapshotError(
                 f"token bucket for {tenant} was captured with a different "
                 f"duty budget (rate/burst mismatch)")
-        bucket.tokens = state["tokens"]
-        bucket.updated = state["updated"]
-    service.virtual_now = snap["virtual_now"]
-    service.admitted = snap["admitted"]
-    service.rejected = snap["rejected"]
-    service.peak_in_flight = snap["peak_in_flight"]
-    if snap["state_cache"] is not None:
-        if service.state_cache is None:
-            raise SnapshotError(
-                "snapshot carries a state-digest cache but the rebuilt "
-                "service has none attached")
-        _restore_cache(service.state_cache, snap["state_cache"])
-    elif service.state_cache is not None:
-        raise SnapshotError(
-            "rebuilt service has a state-digest cache but the snapshot "
-            "was taken without one")
+        overwrite(commits, bucket, tokens=state["tokens"],
+                  updated=state["updated"])
+    telemetry = service.telemetry
     if snap["service_registry"] is not None:
         if not service.observe:
             raise SnapshotError(
                 "snapshot carries service telemetry but the rebuilt "
                 "service is unobserved")
-        service.telemetry = Telemetry(
+        telemetry = Telemetry(
             registry=MetricsRegistry.from_dump(snap["service_registry"]))
     elif service.observe:
         raise SnapshotError(
             "rebuilt service is observed but the snapshot was taken "
             "without telemetry")
+    overwrite(commits, service, virtual_now=snap["virtual_now"],
+              admitted=snap["admitted"], rejected=snap["rejected"],
+              peak_in_flight=snap["peak_in_flight"], telemetry=telemetry)

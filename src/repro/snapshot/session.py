@@ -25,11 +25,11 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import EventTrace, TraceEvent
 from .blobs import BlobStore
 from .codec import (b64, decode_message, encode_adversary, encode_message,
-                    restore_adversary, restore_rng, rng_state)
+                    overwrite, rng_state, stage_adversary, stage_rng)
 from .delta import capture_log
-from .device import restore_device, snapshot_device
+from .device import snapshot_device, stage_device
 
-__all__ = ["snapshot_session", "restore_session"]
+__all__ = ["snapshot_session", "stage_session"]
 
 
 def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
@@ -61,23 +61,25 @@ def snapshot_session(session, blobs: BlobStore, parent=None) -> dict:
     }
 
 
-def restore_session(session, snap: dict, blobs: BlobStore) -> None:
-    """Overwrite a freshly rebuilt session with captured state.
+def stage_session(session, snap: dict, blobs: BlobStore,
+                  commits: list) -> None:
+    """Stage overwriting a freshly rebuilt session with captured state.
 
     ``session`` must have been built with the same ``build_session``
     parameters (and have learned its reference state the same way) as
-    the captured one; restore then replaces every runtime-mutable
-    field, after which continuing the session is byte-identical to
-    never having stopped.
+    the captured one; the commit replaces every runtime-mutable field,
+    after which continuing the session is byte-identical to never
+    having stopped.
     """
-    session.sim.now = snap["sim"]["now"]
-    session.sim.events_processed = snap["sim"]["events_processed"]
-    restore_device(session.device, snap["device"], blobs)
-    _restore_channel(session.channel, snap["channel"])
-    _restore_verifier(session.verifier, snap["verifier"])
-    _restore_verifier_node(session.verifier_node, snap["verifier_node"])
-    _restore_anchor(session.anchor, snap["anchor"])
-    _restore_telemetry(session.telemetry, snap["telemetry"])
+    overwrite(commits, session.sim, now=snap["sim"]["now"],
+              events_processed=snap["sim"]["events_processed"])
+    stage_device(session.device, snap["device"], blobs, commits)
+    _stage_channel(session.channel, snap["channel"], commits)
+    _stage_verifier(session.verifier, snap["verifier"], commits)
+    _stage_verifier_node(session.verifier_node, snap["verifier_node"],
+                         commits)
+    _stage_anchor(session.anchor, snap["anchor"], commits)
+    _stage_telemetry(session.telemetry, snap["telemetry"], commits)
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +106,17 @@ def _snapshot_channel(channel, parent=None) -> dict:
     }
 
 
-def _restore_channel(channel, state: dict) -> None:
-    restore_rng(channel._latency_rng, state["latency_rng"])
-    channel.delivered = state["delivered"]
-    channel.dropped = state["dropped"]
-    channel.injected = state["injected"]
-    channel.duplicated = state["duplicated"]
-    restore_adversary(channel.adversary, state["adversary"])
+def _stage_channel(channel, state: dict, commits: list) -> None:
+    stage_rng(channel._latency_rng, state["latency_rng"], commits)
+    stage_adversary(channel.adversary, state["adversary"], commits)
     transcript = Transcript()
     for record in state["transcript"]:
         transcript._entries.append(TranscriptEntry(
             record["time"], record["sender"], record["receiver"],
             decode_message(record["message"]), record["outcome"]))
-    channel.transcript = transcript
+    overwrite(commits, channel, delivered=state["delivered"],
+              dropped=state["dropped"], injected=state["injected"],
+              duplicated=state["duplicated"], transcript=transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +136,16 @@ def _snapshot_verifier(verifier) -> dict:
     }
 
 
-def _restore_verifier(verifier, state: dict) -> None:
-    verifier.requests_issued = state["requests_issued"]
-    verifier.responses_validated = state["responses_validated"]
-    verifier.timeouts = state["timeouts"]
-    verifier.reference_measurements = {
-        bytes.fromhex(m) for m in state["reference_measurements"]}
-    verifier.freshness_state.next_counter = state["next_counter"]
-    restore_rng(verifier.freshness_state.rng, state["nonce_rng"])
-    restore_rng(verifier._challenge_rng, state["challenge_rng"])
+def _stage_verifier(verifier, state: dict, commits: list) -> None:
+    overwrite(commits, verifier, requests_issued=state["requests_issued"],
+              responses_validated=state["responses_validated"],
+              timeouts=state["timeouts"],
+              reference_measurements={
+                  bytes.fromhex(m) for m in state["reference_measurements"]})
+    overwrite(commits, verifier.freshness_state,
+              next_counter=state["next_counter"])
+    stage_rng(verifier.freshness_state.rng, state["nonce_rng"], commits)
+    stage_rng(verifier._challenge_rng, state["challenge_rng"], commits)
 
 
 def _snapshot_verifier_node(node, parent=None) -> dict:
@@ -164,16 +165,18 @@ def _snapshot_verifier_node(node, parent=None) -> dict:
     }
 
 
-def _restore_verifier_node(node, state: dict) -> None:
-    node._outstanding = [decode_message({"kind": "req", "data": text})
-                         for text in state["outstanding"]]
-    node._request_times = {bytes.fromhex(challenge): when
-                           for challenge, when in state["request_times"]}
-    node.results = [VerificationResult(authentic, state_known_good, detail)
-                    for authentic, state_known_good, detail
-                    in state["results"]]
-    node.last_result_time = state["last_result_time"]
-    node.last_round_seconds = state["last_round_seconds"]
+def _stage_verifier_node(node, state: dict, commits: list) -> None:
+    overwrite(
+        commits, node,
+        _outstanding=[decode_message({"kind": "req", "data": text})
+                      for text in state["outstanding"]],
+        _request_times={bytes.fromhex(challenge): when
+                        for challenge, when in state["request_times"]},
+        results=[VerificationResult(authentic, state_known_good, detail)
+                 for authentic, state_known_good, detail
+                 in state["results"]],
+        last_result_time=state["last_result_time"],
+        last_round_seconds=state["last_round_seconds"])
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +203,22 @@ def _snapshot_anchor(anchor, parent=None) -> dict:
     }
 
 
-def _restore_anchor(anchor, state: dict) -> None:
+def _stage_anchor(anchor, state: dict, commits: list) -> None:
     from collections import deque
-    anchor._last_attest_seconds = state["last_attest_seconds"]
-    anchor.busy_intervals = [(start, end)
-                             for start, end in state["busy_intervals"]]
+    overwrite(commits, anchor,
+              _last_attest_seconds=state["last_attest_seconds"],
+              busy_intervals=[(start, end)
+                              for start, end in state["busy_intervals"]])
     stats = state["stats"]
-    anchor.stats.received = stats["received"]
-    anchor.stats.accepted = stats["accepted"]
-    anchor.stats.rejected = dict(stats["rejected"])
-    anchor.stats.validation_cycles = stats["validation_cycles"]
-    anchor.stats.attestation_cycles = stats["attestation_cycles"]
-    nonces = anchor.state._nonces
-    nonce_state = state["nonces"]
-    nonces._order = deque(bytes.fromhex(n) for n in nonce_state["order"])
-    nonces._members = {bytes.fromhex(n) for n in nonce_state["members"]}
-    nonces.stored_bytes = nonce_state["stored_bytes"]
+    overwrite(commits, anchor.stats, received=stats["received"],
+              accepted=stats["accepted"], rejected=dict(stats["rejected"]),
+              validation_cycles=stats["validation_cycles"],
+              attestation_cycles=stats["attestation_cycles"])
+    nonces = state["nonces"]
+    overwrite(commits, anchor.state._nonces,
+              _order=deque(bytes.fromhex(n) for n in nonces["order"]),
+              _members={bytes.fromhex(n) for n in nonces["members"]},
+              stored_bytes=nonces["stored_bytes"])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def _snapshot_telemetry(telemetry, parent=None) -> dict | None:
     }
 
 
-def _restore_telemetry(telemetry, state: dict | None) -> None:
+def _stage_telemetry(telemetry, state: dict | None, commits: list) -> None:
     if state is None:
         if telemetry.enabled and telemetry.registry is not None:
             raise SnapshotError(
@@ -249,7 +252,7 @@ def _restore_telemetry(telemetry, state: dict | None) -> None:
         raise SnapshotError(
             "snapshot carries telemetry but the rebuilt session does "
             "not observe; rebuild with a Telemetry sink attached")
-    telemetry.registry = MetricsRegistry.from_dump(state["registry"])
+    registry = MetricsRegistry.from_dump(state["registry"])
     trace_state = state["trace"]
     trace = EventTrace(max_events=trace_state["max_events"])
     # extend_records() re-sequences, which would break replay-to-seq
@@ -261,4 +264,4 @@ def _restore_telemetry(telemetry, state: dict | None) -> None:
                                        record["kind"], fields))
     trace._seq = trace_state["seq"]
     trace.dropped_events = trace_state["dropped_events"]
-    telemetry.trace = trace
+    overwrite(commits, telemetry, registry=registry, trace=trace)

@@ -9,10 +9,11 @@ it (``substream(f"{device_id}:{sweeps_run}")``), never consumes it
 directly, so rebuilding it from the seed reproduces every future
 substream exactly.
 
-Restore order matters for the digest cache: member restore re-installs
-region fingerprints, and the cache payload is applied *after* the
-rebuilt swarm's spin-up so the spin-up's own hit/miss accounting is
-overwritten -- a restored-and-continued fleet reports the same cache
+Restore stages every member -- and the breakers and the digest cache --
+before any of them commits, so a document refused at its last member
+leaves the first one untouched.  The cache payload is committed *after*
+the rebuilt swarm's spin-up, so the spin-up's own hit/miss accounting
+is overwritten -- a restored-and-continued fleet reports the same cache
 stats as one that never stopped.
 """
 
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 from ..errors import SnapshotError
 from .blobs import BlobStore
+from .codec import overwrite
 from .delta import capture_log
-from .session import restore_session, snapshot_session
+from .session import snapshot_session, stage_session
 
-__all__ = ["snapshot_swarm", "restore_swarm"]
+__all__ = ["snapshot_swarm", "stage_members", "stage_swarm"]
 
 
 def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
@@ -61,36 +63,50 @@ def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
     }
 
 
-def restore_swarm(swarm, snap: dict, blobs: BlobStore) -> None:
-    """Overwrite a freshly rebuilt ``swarm`` with captured state."""
-    captured = [(m["device_id"], m["index"]) for m in snap["members"]]
-    rebuilt = [(m.device_id, m.index) for m in swarm.members]
+def stage_members(target, snap: dict, blobs: BlobStore, identity: tuple,
+                  what: str, commits: list) -> None:
+    """Stage what a swarm and a service share: every member session of
+    a rebuilt ``target`` (a ``what``), matched on the member attributes
+    named in ``identity``, then its state-digest cache."""
+    captured = [tuple(m[key] for key in identity) for m in snap["members"]]
+    rebuilt = [tuple(getattr(m, key) for key in identity)
+               for m in target.members]
     if captured != rebuilt:
         raise SnapshotError(
             f"member set mismatch: snapshot has {captured}, rebuilt "
-            f"swarm has {rebuilt}")
-    for member, record in zip(swarm.members, snap["members"]):
-        restore_session(member.session, record["session"], blobs)
+            f"{what} has {rebuilt}")
+    for member, record in zip(target.members, snap["members"]):
+        stage_session(member.session, record["session"], blobs, commits)
+    if snap["state_cache"] is not None:
+        if target.state_cache is None:
+            raise SnapshotError(
+                f"snapshot carries a state-digest cache but the rebuilt "
+                f"{what} has none attached")
+        _stage_cache(target.state_cache, snap["state_cache"], commits)
+    elif target.state_cache is not None:
+        # Captured target ran uncached: continuing must too, or hit/miss
+        # accounting diverges from the uninterrupted run.
+        raise SnapshotError(
+            f"rebuilt {what} has a state-digest cache but the snapshot "
+            f"was taken without one")
+
+
+def stage_swarm(swarm, snap: dict, blobs: BlobStore, commits: list) -> None:
+    """Stage overwriting a freshly rebuilt ``swarm`` with captured
+    state."""
+    stage_members(swarm, snap, blobs, ("device_id", "index"), "swarm",
+                  commits)
     if set(snap["breakers"]) != set(swarm.breakers):
         raise SnapshotError("circuit-breaker set mismatch")
     for device_id, state in snap["breakers"].items():
-        _restore_breaker(swarm.breakers[device_id], state)
-    swarm.sweeps_run = snap["sweeps_run"]
+        overwrite(commits, swarm.breakers[device_id], state=state["state"],
+                  consecutive_failures=state["consecutive_failures"],
+                  probes_skipped=state["probes_skipped"],
+                  transitions=[tuple(t) for t in state["transitions"]])
     marks = snap.get("trace_marks")
-    swarm._trace_marks = ([list(row) for row in marks]
-                          if marks is not None else [])
-    if snap["state_cache"] is not None:
-        if swarm.state_cache is None:
-            raise SnapshotError(
-                "snapshot carries a state-digest cache but the rebuilt "
-                "swarm has none attached")
-        _restore_cache(swarm.state_cache, snap["state_cache"])
-    elif swarm.state_cache is not None:
-        # Captured swarm ran uncached: continuing must too, or hit/miss
-        # accounting diverges from the uninterrupted run.
-        raise SnapshotError(
-            "rebuilt swarm has a state-digest cache but the snapshot "
-            "was taken without one")
+    overwrite(commits, swarm, sweeps_run=snap["sweeps_run"],
+              _trace_marks=([list(row) for row in marks]
+                            if marks is not None else []))
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +119,6 @@ def _snapshot_breaker(breaker, device_id: str, parent=None) -> dict:
             "probes_skipped": breaker.probes_skipped,
             "transitions": capture_log(breaker.transitions, list, parent,
                                        "breakers.*.transitions", device_id)}
-
-
-def _restore_breaker(breaker, state: dict) -> None:
-    breaker.state = state["state"]
-    breaker.consecutive_failures = state["consecutive_failures"]
-    breaker.probes_skipped = state["probes_skipped"]
-    breaker.transitions = [tuple(t) for t in state["transitions"]]
 
 
 def _snapshot_cache(cache, parent=None) -> dict:
@@ -154,13 +163,12 @@ def _decode_cache_key(spans: list) -> tuple:
                  for start, end, fingerprint in spans)
 
 
-def _restore_cache(cache, state: dict) -> None:
+def _stage_cache(cache, state: dict, commits: list) -> None:
     if cache.max_entries != state["max_entries"]:
         raise SnapshotError("state-digest cache capacity mismatch")
-    cache._entries.clear()
-    for spans, digest in state["entries"]:
-        cache._entries[_decode_cache_key(spans)] = bytes.fromhex(digest)
-    cache.hits = state["hits"]
-    cache.misses = state["misses"]
-    cache.evictions = state.get("evictions", 0)
-    cache.epoch = state.get("epoch", 0)
+    overwrite(commits, cache,
+              _entries={_decode_cache_key(spans): bytes.fromhex(digest)
+                        for spans, digest in state["entries"]},
+              hits=state["hits"], misses=state["misses"],
+              evictions=state.get("evictions", 0),
+              epoch=state.get("epoch", 0))

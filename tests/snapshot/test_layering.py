@@ -5,7 +5,8 @@ It sits below the benchmark harnesses: no module in it may import
 way in: outside ``open_document`` (the schema dispatch every read
 passes, used by ``open_chain``), nothing in ``src/`` validates a
 snapshot document or decodes its blobs, so no second read path can
-grow back."""
+grow back.  And every restore stages before it commits: a commit
+closure only assigns, so it neither raises nor decodes."""
 
 import ast
 
@@ -89,6 +90,61 @@ def test_documents_are_opened_in_one_place():
     assert modules
     offending = [hit for path in modules for hit in open_calls(path)]
     assert offending == []
+
+
+#: Calls a commit closure may not make, by final name (so ``blobs.get``
+#: counts as ``BlobStore.get``): decoding belongs to its stage.
+STAGE_CALLS = {"unb64", "fromhex", "decode_message", "get", "from_dump"}
+
+
+def commit_closures(path) -> list[ast.FunctionDef]:
+    """The commit closures (functions named ``commit``) of one module."""
+    return [node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "commit"]
+
+
+def commit_faults(path) -> list[str]:
+    """``raise`` statements and :data:`STAGE_CALLS` calls inside the
+    commit closures of one module, in line order."""
+    found = []
+    for closure in commit_closures(path):
+        for node in ast.walk(closure):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name not in STAGE_CALLS:
+                    continue
+            elif not isinstance(node, ast.Raise):
+                continue
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_commits_only_assign():
+    modules = sorted(SNAPSHOT_DIR.glob("*.py"))
+    with_commits = {path.name for path in modules if commit_closures(path)}
+    assert with_commits >= {"codec.py", "device.py"}
+    offending = [hit for path in modules for hit in commit_faults(path)]
+    assert offending == []
+
+
+def test_commit_detector_sees_every_form(tmp_path):
+    module = tmp_path / "bad.py"
+    module.write_text(
+        "def stage(x, blobs):\n"
+        "    data = unb64(x.data)\n"
+        "    def commit():\n"
+        "        x.a = bytes.fromhex(x.b)\n"
+        "        x.c = blobs.get(x.d)\n"
+        "        x.e = MetricsRegistry.from_dump(x.f)\n"
+        "        x.g = decode_message(x.h)\n"
+        "        x.i = codec.unb64(x.j)\n"
+        "        if x.k:\n"
+        "            raise ValueError(x.k)\n"
+        "        x.data = data\n"
+        "    return commit\n")
+    assert commit_faults(module) == ["bad.py:4", "bad.py:5", "bad.py:6",
+                                     "bad.py:7", "bad.py:8", "bad.py:10"]
 
 
 def test_open_detector_sees_every_form(tmp_path):

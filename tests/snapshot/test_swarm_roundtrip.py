@@ -19,6 +19,7 @@ from repro.perf.fleet import FleetEngine, FleetSpec
 from repro.services.attestd import AttestationService, build_schedule
 from repro.services.swarm import Swarm
 from repro.snapshot import build_swarm_from_spec, swarm_spec
+from repro.snapshot.codec import b64
 from tests.conftest import tiny_config
 
 
@@ -195,6 +196,24 @@ class TestFleetEngine:
         assert swarm.device_states() == expected_states
         assert swarm.merged_registry().dump() == expected_registry
 
+    def test_refused_shard_leaves_every_shard_untouched(self):
+        """Shard 0 stages cleanly and shard 1 refuses: no shard
+        commits, so the engine reads as it did before the restore."""
+        spec = FleetSpec(size=4, device_config=tiny_config(), observe=True,
+                         seed="fleet-hostile")
+        with FleetEngine(spec, workers=2) as live:
+            live.sweep()
+            document = json.loads(json.dumps(live.snapshot()))
+        shard = document["state"]["shards"][1]["swarm"]
+        shard["members"][0]["session"]["device"]["mpu"] = "abc"
+        with FleetEngine(spec, workers=2) as target:
+            before = (target.merged_registry().dump(),
+                      target.total_attestations())
+            with pytest.raises(SnapshotError):
+                target.restore(document)
+            assert (target.merged_registry().dump(),
+                    target.total_attestations()) == before
+
     def test_worker_count_mismatch_refuses(self):
         spec = FleetSpec(size=4, seed="fleet-wc")
         with FleetEngine(spec, workers=2) as live:
@@ -240,33 +259,96 @@ def untouched_view(target):
     return view
 
 
-def set_log(path, value):
-    """Overwrite one log of member 1's session (member 0 restores
-    first, so a late failure would leave it half-restored)."""
+def member_field(document, path):
+    """``(box, key)`` of a dotted path (list indices as digits) into
+    member 1's session: member 0 comes first, so a restore that wrote
+    as it checked would leave it half-restored."""
+    box = document["state"]["members"][1]["session"]
+    *parents, field = path.split(".")
+    for part in parents:
+        box = box[int(part)] if isinstance(box, list) else box[part]
+    return box, (int(field) if isinstance(box, list) else field)
+
+
+def set_field(path, value):
+    """Overwrite one field of member 1's session."""
     def mutate(document):
-        box = document["state"]["members"][1]["session"]
-        *parents, field = path.split(".")
-        for part in parents:
-            box = box[part]
+        box, field = member_field(document, path)
         box[field] = value
     return mutate
 
 
+def drop(path):
+    """Delete one field of member 1's session."""
+    def mutate(document):
+        box, field = member_field(document, path)
+        del box[field]
+    return mutate
+
+
+def drop_breaker(document):
+    breakers = document["state"]["breakers"]
+    del breakers[sorted(breakers)[-1]]
+
+
+def add_cache(document):
+    document["state"]["state_cache"] = {
+        "hits": 0, "misses": 0, "evictions": 0, "max_entries": 256,
+        "entries": []}
+
+
+def mmio_region(document):
+    """A member-1 region record for the memory-mapped IRQ mask, with an
+    image that fits its window: the one read path accepts it, only the
+    rebuilt device knows the region holds no bytes."""
+    mask = hostile_swarm().members[0].session.device.memory.region(
+        "irq-mask")
+    document["blobs"]["ab" * 20] = b64(bytes(mask.size))
+    document["state"]["members"][1]["session"]["device"]["regions"].append(
+        {"name": "irq-mask", "size": mask.size, "exclude": 0,
+         "fingerprint": "ab" * 20, "prefix": ""})
+
+
+def raise_rate(document):
+    for bucket in document["state"]["buckets"].values():
+        bucket["rate"] += 1.0
+
+
 class TestHostileFullDocuments:
-    """A full document whose logs are not lists is refused by the one
-    read path before any restore step runs: the target stays equal to
-    a never-restored twin."""
+    """A hostile full document is refused -- by the one read path, or
+    by a stage before any member commits -- with a typed error, and
+    the target stays equal to a never-restored twin."""
 
     @pytest.mark.parametrize("build, run, mutate", [
         (hostile_swarm, run_swarm,
-         set_log("channel.transcript", {"base": 0, "tail": []})),
+         set_field("channel.transcript", {"base": 0, "tail": []})),
         (hostile_swarm, run_swarm,
-         set_log("anchor.busy_intervals", {"base": 0, "tail": []})),
-        (hostile_swarm, run_swarm, set_log("verifier_node.results", 5)),
+         set_field("anchor.busy_intervals", {"base": 0, "tail": []})),
+        (hostile_swarm, run_swarm, set_field("verifier_node.results", 5)),
         (hostile_service, run_service,
-         set_log("channel.transcript", {"base": 0, "tail": []})),
+         set_field("channel.transcript", {"base": 0, "tail": []})),
+        (hostile_swarm, run_swarm, set_field("device.mpu", "abc")),
+        (hostile_swarm, run_swarm,
+         set_field("channel.transcript.0.message.data", "abc")),
+        (hostile_swarm, run_swarm, drop("sim")),
+        (hostile_swarm, run_swarm, set_field("anchor.nonces.order", ["zz"])),
+        (hostile_swarm, run_swarm,
+         set_field("verifier.reference_measurements", ["zz"])),
+        (hostile_swarm, run_swarm, set_field("device.clock", None)),
+        (hostile_swarm, run_swarm, set_field("telemetry", None)),
+        (hostile_swarm, run_swarm,
+         set_field("device.regions.0.name", "renamed")),
+        (hostile_swarm, run_swarm, drop_breaker),
+        (hostile_swarm, run_swarm, add_cache),
+        (hostile_swarm, run_swarm, mmio_region),
+        (hostile_service, run_service, raise_rate),
+        (hostile_service, run_service, drop("sim")),
     ], ids=["transcript-tail", "busy-intervals-tail", "results-int",
-            "service-transcript-tail"])
+            "service-transcript-tail", "mpu-base64", "message-base64",
+            "no-sim", "nonce-hex", "reference-hex", "no-clock",
+            "no-telemetry", "region-renamed", "breaker-missing",
+            "cache-added", "mmio-region", "service-rate",
+            "service-no-sim"])
     def test_refused_without_mutation(self, build, run, mutate):
         live = build()
         run(live)

@@ -309,6 +309,33 @@ class TestMalformedRebuildSpec:
         assert not (tmp_path / "unused.json").exists()
 
 
+def _drop_sim(session):
+    del session["sim"]
+
+
+def _bad_nonce(session):
+    session["anchor"]["nonces"]["order"] = ["zz"]
+
+
+class TestHostileCheckpoint:
+    @pytest.mark.parametrize("mutate", [_drop_sim, _bad_nonce],
+                             ids=["no-sim", "nonce-hex"])
+    def test_error_line_not_traceback(self, saved, mutate, capsys,
+                                      tmp_path):
+        """A checkpoint that passes the schema but fails its restore's
+        stage ends as one ``error:`` line and exit 1."""
+        document = json.loads(json.dumps(saved["swarm"]))
+        mutate(document["state"]["members"][1]["session"])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["snapshot", "restore", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def _commands(parser, prefix=()):
     """Every command path a parser registers, nested ones included."""
     for action in parser._actions:
