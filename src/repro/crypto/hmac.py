@@ -39,6 +39,9 @@ __all__ = ["HmacSha1", "hmac_sha1", "constant_time_compare",
 
 _IPAD = 0x36
 _OPAD = 0x5C
+#: ``bytes.translate`` tables that XOR every byte with a pad constant.
+_IPAD_TABLE = bytes(b ^ _IPAD for b in range(256))
+_OPAD_TABLE = bytes(b ^ _OPAD for b in range(256))
 
 #: Upper bound on cached (engine, key) midstate pairs.
 HMAC_MIDSTATE_CACHE_MAX = 128
@@ -68,8 +71,8 @@ def _prepare_key(key: bytes) -> bytes:
 
 
 def _make_midstates(padded: bytes) -> tuple[SHA1, SHA1]:
-    return (SHA1(bytes(b ^ _IPAD for b in padded)),
-            SHA1(bytes(b ^ _OPAD for b in padded)))
+    return (SHA1(padded.translate(_IPAD_TABLE)),
+            SHA1(padded.translate(_OPAD_TABLE)))
 
 
 def _pad_midstates(padded: bytes) -> tuple[SHA1, SHA1]:
@@ -162,9 +165,9 @@ class HmacSha1:
             self._outer_proto: SHA1 | None = outer_proto
             self._outer_key: bytes | None = None
         else:
-            self._inner = SHA1(bytes(b ^ _IPAD for b in padded))
+            self._inner = SHA1(padded.translate(_IPAD_TABLE))
             self._outer_proto = None
-            self._outer_key = bytes(b ^ _OPAD for b in padded)
+            self._outer_key = padded.translate(_OPAD_TABLE)
         if data:
             self.update(data)
 

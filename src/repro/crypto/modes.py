@@ -55,7 +55,9 @@ def pkcs7_unpad(data: bytes, block_size: int) -> bytes:
 
 
 def _xor_block(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR two equal-length blocks as integers."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big")
 
 
 class CBC:

@@ -28,6 +28,8 @@ _WORD_BITS = 32
 _MASK = 0xFFFFFFFF
 _ALPHA = 8
 _BETA = 3
+#: A block is two 32-bit words (x, y), big-endian in print order.
+_WORDS = struct.Struct(">2I")
 
 
 def _ror(x: int, r: int) -> int:
@@ -36,21 +38,6 @@ def _ror(x: int, r: int) -> int:
 
 def _rol(x: int, r: int) -> int:
     return ((x << r) | (x >> (_WORD_BITS - r))) & _MASK
-
-
-def _round_enc(x: int, y: int, k: int) -> tuple[int, int]:
-    """One Speck encryption round on words (x, y) with round key k."""
-    x = (_ror(x, _ALPHA) + y) & _MASK
-    x ^= k
-    y = _rol(y, _BETA) ^ x
-    return x, y
-
-
-def _round_dec(x: int, y: int, k: int) -> tuple[int, int]:
-    """Inverse of :func:`_round_enc`."""
-    y = _ror(y ^ x, _BETA)
-    x = _rol(((x ^ k) - y) & _MASK, _ALPHA)
-    return x, y
 
 
 class Speck64_128:
@@ -103,19 +90,28 @@ class Speck64_128:
                 f"Speck block must be {BLOCK_SIZE} bytes, got {len(block)}")
         # Reference vectors print the block as words (x, y), x first;
         # serialising big-endian in print order yields the 8 block bytes.
-        x, y = struct.unpack(">2I", block)
+        # Each round is x = (ror(x, 8) + y) ^ k; y = rol(y, 3) ^ x, with
+        # the rotations written out on local ints.
+        mask = _MASK
+        x, y = _WORDS.unpack(block)
         for k in self._round_keys:
-            x, y = _round_enc(x, y, k)
+            x = ((((x >> 8) | (x << 24)) + y) & mask) ^ k
+            y = (((y << 3) | (y >> 29)) & mask) ^ x
         self.blocks_encrypted += 1
-        return struct.pack(">2I", x, y)
+        return _WORDS.pack(x, y)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 8-byte block."""
         if len(block) != BLOCK_SIZE:
             raise InvalidBlockError(
                 f"Speck block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        x, y = struct.unpack(">2I", block)
+        # The inverse round: y = ror(y ^ x, 3); x = rol((x ^ k) - y, 8).
+        mask = _MASK
+        x, y = _WORDS.unpack(block)
         for k in reversed(self._round_keys):
-            x, y = _round_dec(x, y, k)
+            y ^= x
+            y = ((y >> 3) | (y << 29)) & mask
+            x = ((x ^ k) - y) & mask
+            x = ((x << 8) | (x >> 24)) & mask
         self.blocks_decrypted += 1
-        return struct.pack(">2I", x, y)
+        return _WORDS.pack(x, y)

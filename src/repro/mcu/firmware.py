@@ -7,17 +7,39 @@ are derived from the module's name, version and size through the
 HMAC-DRBG, so two builds of the same (name, version, size) are
 bit-identical -- necessary for reference measurements -- while any version
 bump or malware patch changes the measurement, as it would on real flash.
+
+Derivation is host work the simulation never charges, and a fleet builds
+the same few modules for every member, so :func:`derive_code` derives
+each ``(name, version, size)`` once per process and hands out the same
+immutable ``bytes`` afterwards.  The memo holds only a pure function of
+public inputs, never key material.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..crypto.rng import DeterministicRng
 from ..crypto.sha1 import SHA1
 from ..errors import ConfigurationError
 
-__all__ = ["FirmwareModule", "FirmwareImage"]
+__all__ = ["FirmwareModule", "FirmwareImage", "derive_code",
+           "FIRMWARE_CACHE_MAX"]
+
+#: Upper bound on memoised module builds.  A device holds four modules
+#: and an OTA round adds one app version, so a run touches a handful.
+FIRMWARE_CACHE_MAX = 64
+
+
+@lru_cache(maxsize=FIRMWARE_CACHE_MAX)
+def derive_code(name: str, version: int, size: int) -> bytes:
+    """Deterministic pseudo machine code for one module build.
+
+    ``derive_code.cache_clear()`` makes the next derivation cold, and
+    ``derive_code.cache_info()`` counts hits and misses.
+    """
+    return DeterministicRng(f"firmware:{name}:v{version}").bytes(size)
 
 
 @dataclass(frozen=True)
@@ -50,8 +72,7 @@ class FirmwareModule:
 
     def code_bytes(self) -> bytes:
         """Deterministic pseudo machine code for this module build."""
-        rng = DeterministicRng(f"firmware:{self.name}:v{self.version}")
-        return rng.bytes(self.size)
+        return derive_code(self.name, self.version, self.size)
 
     def measurement(self) -> bytes:
         """SHA-1 digest of the module's code (secure-boot reference)."""

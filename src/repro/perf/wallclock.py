@@ -31,6 +31,7 @@ from .. import fastpath
 from ..core.protocol import build_session
 from ..crypto.hmac import HmacSha1, clear_hmac_midstate_cache
 from ..mcu.device import Device, DeviceConfig
+from ..mcu.firmware import derive_code
 from ..obs.telemetry import Telemetry
 from .harness import host_info
 
@@ -120,9 +121,11 @@ def hmac_cache_timing(rounds: int = 500) -> dict:
 def _scenario_fingerprint(engine: str, ram_kb: int, rounds: int) -> dict:
     """Everything observable about one quickstart-style run: response
     MACs, measurement digest, consumed cycles, ProverStats, and the full
-    telemetry registry dump."""
+    telemetry registry dump.  Both memos start cold, so each engine
+    derives its own firmware bytes and pad midstates."""
     with fastpath.forced(engine):
         clear_hmac_midstate_cache()
+        derive_code.cache_clear()
         telemetry = Telemetry()
         session = build_session(
             device_config=DeviceConfig(ram_size=ram_kb * 1024),

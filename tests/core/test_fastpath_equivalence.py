@@ -16,15 +16,20 @@ import pytest
 from repro import fastpath
 from repro.core import build_session
 from repro.crypto.hmac import clear_hmac_midstate_cache
+from repro.mcu.firmware import derive_code
 from repro.obs import Telemetry
 
 from ..conftest import tiny_config
 
 
 def run_scenario(engine: str, rounds: int = 2) -> dict:
-    """One seeded attestation scenario; returns every observable."""
+    """One seeded attestation scenario; returns every observable.
+
+    Both memos start cold, so each engine derives its own firmware bytes
+    and pad midstates instead of reusing the other engine's."""
     with fastpath.forced(engine):
         clear_hmac_midstate_cache()
+        derive_code.cache_clear()
         telemetry = Telemetry()
         session = build_session(device_config=tiny_config(),
                                 telemetry=telemetry,

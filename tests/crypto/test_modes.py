@@ -95,6 +95,47 @@ class TestCbc:
         assert recovered != b"attack at dawn"
 
 
+def reference_cbc_encrypt(cipher, iv, plaintext):
+    """CBC over a bytewise XOR, block by block."""
+    padded = pkcs7_pad(plaintext, cipher.block_size)
+    out, previous = b"", iv
+    for offset in range(0, len(padded), cipher.block_size):
+        block = padded[offset:offset + cipher.block_size]
+        previous = cipher.encrypt_block(
+            bytes(a ^ b for a, b in zip(block, previous)))
+        out += previous
+    return out
+
+
+def reference_cbc_mac(cipher, message):
+    size = cipher.block_size
+    encoded = len(message).to_bytes(8, "big").rjust(size, b"\x00") + message
+    encoded += b"\x00" * (-len(encoded) % size)
+    state = bytes(size)
+    for offset in range(0, len(encoded), size):
+        state = cipher.encrypt_block(bytes(
+            a ^ b for a, b in zip(state, encoded[offset:offset + size])))
+    return state
+
+
+@pytest.mark.parametrize("cipher", [AES128(b"k" * 16),
+                                    Speck64_128(b"k" * 16)],
+                         ids=["aes", "speck"])
+class TestAgainstReferenceLoop:
+    def test_cbc(self, cipher):
+        iv = bytes(range(1, cipher.block_size + 1))
+        for length in range(41):
+            data = bytes((i * 7 + length) & 0xFF for i in range(length))
+            ciphertext = CBC(cipher).encrypt(iv, data)
+            assert ciphertext == reference_cbc_encrypt(cipher, iv, data)
+            assert CBC(cipher).decrypt(iv, ciphertext) == data
+
+    def test_cbc_mac(self, cipher):
+        for length in range(41):
+            data = bytes((i * 11 + length) & 0xFF for i in range(length))
+            assert cbc_mac(cipher, data) == reference_cbc_mac(cipher, data)
+
+
 class TestCbcMac:
     def test_deterministic(self):
         assert cbc_mac(AES128(b"k" * 16), b"message") == \

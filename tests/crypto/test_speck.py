@@ -1,4 +1,6 @@
-"""Speck 64/128 against the published test vector."""
+"""Speck 64/128 against the published test vector and a spec round."""
+
+import random
 
 import pytest
 
@@ -16,6 +18,68 @@ class TestKnownVector:
 
     def test_decrypt(self):
         assert Speck64_128(VEC_KEY).decrypt_block(VEC_CT) == VEC_PT
+
+
+MASK = 0xFFFFFFFF
+
+
+def spec_ror(x, r):
+    return ((x >> r) | (x << (32 - r))) & MASK
+
+
+def spec_rol(x, r):
+    return ((x << r) | (x >> (32 - r))) & MASK
+
+
+def spec_round(x, y, k):
+    """One Speck 64 round as ePrint 2013/404 writes it (alpha 8, beta 3)."""
+    x = ((spec_ror(x, 8) + y) & MASK) ^ k
+    return x, spec_rol(y, 3) ^ x
+
+
+def spec_unround(x, y, k):
+    y = spec_ror(y ^ x, 3)
+    return spec_rol(((x ^ k) - y) & MASK, 8), y
+
+
+def spec_encrypt(round_keys, block):
+    x, y = int.from_bytes(block[:4], "big"), int.from_bytes(block[4:], "big")
+    for k in round_keys:
+        x, y = spec_round(x, y, k)
+    return x.to_bytes(4, "big") + y.to_bytes(4, "big")
+
+
+def spec_decrypt(round_keys, block):
+    x, y = int.from_bytes(block[:4], "big"), int.from_bytes(block[4:], "big")
+    for k in reversed(round_keys):
+        x, y = spec_unround(x, y, k)
+    return x.to_bytes(4, "big") + y.to_bytes(4, "big")
+
+
+class TestSpecRounds:
+    """The inlined rounds agree with the round function as specified."""
+
+    def test_spec_rounds_reproduce_the_vector(self):
+        keys = Speck64_128(VEC_KEY)._round_keys
+        assert spec_encrypt(keys, VEC_PT) == VEC_CT
+        assert spec_decrypt(keys, VEC_CT) == VEC_PT
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inline_rounds_equal_spec_rounds(self, seed):
+        rng = random.Random(seed)
+        for _ in range(64):
+            cipher = Speck64_128(rng.randbytes(KEY_SIZE))
+            block = rng.randbytes(BLOCK_SIZE)
+            keys = cipher._round_keys
+            assert cipher.encrypt_block(block) == spec_encrypt(keys, block)
+            assert cipher.decrypt_block(block) == spec_decrypt(keys, block)
+
+    def test_extreme_words(self):
+        cipher = Speck64_128(b"\xff" * KEY_SIZE)
+        keys = cipher._round_keys
+        for block in (bytes(8), b"\xff" * 8, b"\x80" + bytes(6) + b"\x01"):
+            assert cipher.encrypt_block(block) == spec_encrypt(keys, block)
+            assert cipher.decrypt_block(block) == spec_decrypt(keys, block)
 
 
 class TestRoundTrip:

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.crypto.rng import DeterministicRng
 from repro.errors import ConfigurationError
-from repro.mcu.firmware import FirmwareImage, FirmwareModule
+from repro.mcu import firmware
+from repro.mcu.firmware import (FIRMWARE_CACHE_MAX, FirmwareImage,
+                                FirmwareModule, derive_code)
+from repro.services.swarm import Swarm
+from tests.conftest import tiny_config
 
 
 class TestModule:
@@ -33,6 +38,54 @@ class TestModule:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             FirmwareModule("m", 0)
+
+
+class TestDerivedOnce:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        derive_code.cache_clear()
+        yield
+        derive_code.cache_clear()
+
+    def test_swarm_build_derives_each_module_once(self, monkeypatch):
+        seeds = []
+
+        class CountingRng(DeterministicRng):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(firmware, "DeterministicRng", CountingRng)
+        swarm = Swarm(16, device_config=tiny_config(), seed="derive-once")
+        distinct = {(m.name, m.version, m.size)
+                    for member in swarm.members
+                    for m in member.session.device.firmware.modules}
+        assert len(distinct) == 4
+        assert len(seeds) == len(set(seeds)) == len(distinct)
+        assert derive_code.cache_info().misses == len(distinct)
+        # A second fleet of the same build derives nothing at all.
+        Swarm(16, device_config=tiny_config(), seed="derive-once")
+        assert len(seeds) == len(distinct)
+
+    def test_memo_matches_a_fresh_derivation(self):
+        module = FirmwareModule("app", 300, version=3)
+        assert module.code_bytes() == \
+            DeterministicRng("firmware:app:v3").bytes(300)
+        assert module.code_bytes() is module.code_bytes()
+
+    def test_memo_is_bounded(self):
+        for version in range(FIRMWARE_CACHE_MAX + 8):
+            FirmwareModule("m", 1, version=version).code_bytes()
+        info = derive_code.cache_info()
+        assert info.maxsize == FIRMWARE_CACHE_MAX
+        assert info.currsize == FIRMWARE_CACHE_MAX
+
+    def test_version_bump_after_memo_yields_new_bytes(self):
+        v1 = FirmwareModule("app", 512, version=1).code_bytes()
+        v2 = FirmwareModule("app", 512, version=2).code_bytes()
+        assert v1 != v2
+        assert FirmwareModule("app", 512, version=1).code_bytes() == v1
+        assert derive_code.cache_info().misses == 2
 
 
 class TestImage:
