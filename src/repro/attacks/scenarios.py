@@ -348,8 +348,10 @@ def run_rate_limit_lockout(*, auth_scheme: str,
     session.sim.run(until=(genuine_rounds + 2) * spacing)
 
     stats = session.anchor.stats
-    genuine_accepted = sum(
-        1 for result in session.verifier_node.results if result.authentic)
+    # Forged requests' responses reach the verifier unsolicited and are
+    # never validated; nothing on this channel tampers with a response,
+    # so each validated response is a genuine request answered.
+    genuine_accepted = session.verifier.responses_validated
     return LockoutResult(
         auth_scheme=auth_scheme, rate_limit_seconds=rate_limit_seconds,
         genuine_sent=genuine_rounds, genuine_accepted=genuine_accepted,

@@ -151,16 +151,23 @@ class Session:
     telemetry: Telemetry = field(default=NULL_TELEMETRY)
 
     def attest_once(self, settle_seconds: float = 5.0) -> VerificationResult:
-        """Run one complete attestation round and return the verdict."""
+        """Run one complete attestation round and return the verdict.
+
+        A round whose ``settle_seconds`` window added no result reports
+        ``no-response`` -- never an earlier round's verdict -- so
+        callers can tell a silent prover from a trusted one.
+        """
         if self.sim.now == 0.0:
             # A timestamp of exactly 0 is indistinguishable from the
             # prover's initial last-accepted value; start after the epoch.
             self.sim.run(until=0.001)
+        results = self.verifier_node.results
+        baseline = len(results)
         self.verifier_node.request_attestation()
         self.sim.run(until=self.sim.now + settle_seconds)
-        if not self.verifier_node.results:
+        if len(results) == baseline:
             return VerificationResult(False, None, "no-response")
-        return self.verifier_node.results[-1]
+        return results[-1]
 
     def attest_resilient(self, retry: "RetryPolicy",
                          rng: DeterministicRng | None = None
@@ -172,7 +179,9 @@ class Session:
         measured round trip so a retry can never fire while the response
         it is retrying for is still in flight.  Failed attempts back off
         exponentially (with deterministic jitter when ``rng`` is given)
-        until the retry count or the total time budget runs out.
+        until the retry count or the total time budget runs out.  An
+        attempt is a timeout exactly when :meth:`attest_once` reports
+        ``no-response``.
 
         Telemetry: ``session.timeouts`` / ``session.retries`` /
         ``session.backoff_seconds`` counters and the matching
@@ -184,6 +193,7 @@ class Session:
         attempts = 0
         timeouts = 0
         backoff_total = 0.0
+        retried: list[tuple[float, str]] = []
         gave_up = None
         while True:
             attempts += 1
@@ -195,12 +205,8 @@ class Session:
                 remaining = retry.total_budget_seconds \
                     - (self.sim.now - round_start)
                 timeout = min(timeout, max(remaining, 0.0))
-            baseline = len(node.results)
             result = self.attest_once(settle_seconds=timeout)
-            if len(node.results) == baseline:
-                # Nothing arrived within this attempt's deadline --
-                # whatever attest_once returned is a stale verdict.
-                result = VerificationResult(False, None, "no-response")
+            if result.detail == "no-response":
                 timeouts += 1
                 self.verifier.record_timeout()
                 self.telemetry.count("session.timeouts")
@@ -217,6 +223,7 @@ class Session:
             if attempts > retry.max_retries:
                 gave_up = "retries-exhausted"
                 break
+            retried.append((self.sim.now, result.detail))
             self.telemetry.count("session.retries")
             self.telemetry.event("session-retry", self.sim.now,
                                  attempt=attempts, detail=result.detail)
@@ -231,7 +238,7 @@ class Session:
                                 timeouts=timeouts,
                                 backoff_seconds=backoff_total,
                                 elapsed_seconds=self.sim.now - round_start,
-                                gave_up=gave_up)
+                                gave_up=gave_up, retried=retried)
 
     def snapshot(self, *, parent: dict | None = None) -> dict:
         """Capture the full session state as a snapshot document.

@@ -28,7 +28,7 @@ seed schedule byte-identical retries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 
@@ -143,6 +143,9 @@ class ResilientOutcome:
     #: ``None`` on success, else ``"retries-exhausted"`` or
     #: ``"budget-exhausted"``.
     gave_up: str | None = None
+    #: ``(time, detail)`` of every failed attempt that was retried, in
+    #: order: the simulation time it failed at and its verdict detail.
+    retried: list[tuple[float, str]] = field(default_factory=list)
 
     @property
     def trusted(self) -> bool:

@@ -93,8 +93,9 @@ class Verifier:
         """Account one request that went unanswered within its deadline.
 
         Called by :meth:`repro.core.protocol.Session.attest_resilient`
-        (and anything else driving a :class:`~repro.core.resilience.\
-RetryPolicy`) so verifier-side give-ups show up next to the issue/
+        for every attempt that reports ``no-response`` -- the one retry
+        loop, which retried sweeps and the attestation monitor both run
+        through -- so verifier-side give-ups show up next to the issue/
         validate counters.
         """
         self.timeouts += 1

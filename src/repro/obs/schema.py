@@ -70,7 +70,6 @@ METRIC_NAMES = frozenset({
     "prover.validation_cycles",
     "prover.validation_cycles_per_request",
     # verifier-side resilience and operations
-    "monitor.backoff_seconds",
     "monitor.events",
     "session.backoff_seconds",
     "session.retries",

@@ -151,8 +151,10 @@ _SHARD: Swarm | None = None
 
 def _shard_init(spec: FleetSpec, indices: tuple) -> None:
     global _SHARD
-    _SHARD = spec.build(member_indices=indices,
-                        state_cache=StateDigestCache())
+    # An incremental Swarm picks its own cache (unbounded, as evictions
+    # would bring full walks back); every other shard gets a bounded one.
+    cache = None if spec.incremental else StateDigestCache()
+    _SHARD = spec.build(member_indices=indices, state_cache=cache)
 
 
 def _shard_call(fn, *args, **kwargs):

@@ -7,13 +7,15 @@ device's primary task, Section 3.1 -- so over-attesting is self-DoS).
 :class:`AttestationMonitor` implements that policy over a
 :class:`~repro.core.protocol.Session` and produces an auditable event log.
 
-Retry semantics are delegated to a
-:class:`~repro.core.resilience.RetryPolicy`: each attempt has a deadline
-(clamped up to the most recently *measured* round trip, so low settings
-can no longer fire retries faster than the attestation itself -- every
-such premature retry used to cost the prover a full extra measurement),
-and attempts are spaced by exponential backoff when the policy asks for
-it.
+Each round is one :meth:`~repro.core.protocol.Session.attest_resilient`
+call under the policy's :class:`~repro.core.resilience.RetryPolicy`:
+each attempt has a deadline (clamped up to the most recently *measured*
+round trip, so low settings can no longer fire retries faster than the
+attestation itself), attempts are spaced by exponential backoff when
+the policy asks for it, and a silent attempt reports ``no-response``
+rather than an earlier round's verdict.  The monitor keeps only the
+round, alarm and recovery bookkeeping; retries, timeouts and backoff
+are exported on the session's ``session.*`` counters.
 
 Escalation ladder:
 
@@ -91,12 +93,14 @@ class AttestationMonitor:
 
     # ------------------------------------------------------------------
 
-    def _log(self, kind: str, detail: str) -> None:
-        self.events.append(MonitorEvent(self.session.sim.now, kind, detail))
+    def _log(self, kind: str, detail: str,
+             time: float | None = None) -> None:
+        time = self.session.sim.now if time is None else time
+        self.events.append(MonitorEvent(time, kind, detail))
         telemetry = self.session.telemetry
         telemetry.count("monitor.events", kind=kind)
-        telemetry.event("monitor-event", self.session.sim.now,
-                        monitor_kind=kind, detail=detail)
+        telemetry.event("monitor-event", time, monitor_kind=kind,
+                        detail=detail)
 
     def run_round(self) -> bool:
         """One scheduled round: attempt + retries; returns success.
@@ -106,43 +110,23 @@ class AttestationMonitor:
         per-round average derived from it.  ``attempts_run`` carries the
         per-attempt count separately.
         """
-        retry = self.policy.retry
-        sim = self.session.sim
-        node = self.session.verifier_node
-        round_start = sim.now
         self.rounds_run += 1
-        attempts = 0
-        while True:
-            timeout = retry.effective_timeout(node.last_round_seconds)
-            if retry.total_budget_seconds is not None:
-                # Clamp the attempt deadline so the round can never
-                # spend past the total budget (the budget check between
-                # attempts alone lets the final attempt overrun it).
-                remaining = retry.total_budget_seconds \
-                    - (sim.now - round_start)
-                timeout = min(timeout, max(remaining, 0.0))
-            result = self.session.attest_once(settle_seconds=timeout)
-            self.attempts_run += 1
-            if result.trusted:
-                if self.alarmed:
-                    self.alarmed = False
-                    self._log("recovered", "device attests trusted again")
-                self.consecutive_failures = 0
-                self._log("ok", result.detail)
-                return True
-            attempts += 1
-            if attempts > retry.max_retries:
-                break
-            if retry.budget_exhausted(sim.now - round_start):
-                break
-            self._log("retry", f"attempt {attempts} failed: {result.detail}")
-            delay = retry.backoff_delay(attempts, self._rng)
-            if delay > 0.0:
-                self.session.telemetry.count("monitor.backoff_seconds", delay)
-                sim.run(until=sim.now + delay)
+        outcome = self.session.attest_resilient(self.policy.retry,
+                                                rng=self._rng)
+        self.attempts_run += outcome.attempts
+        for attempt, (time, detail) in enumerate(outcome.retried, 1):
+            self._log("retry", f"attempt {attempt} failed: {detail}", time)
+        result = outcome.result
+        if result.trusted:
+            if self.alarmed:
+                self.alarmed = False
+                self._log("recovered", "device attests trusted again")
+            self.consecutive_failures = 0
+            self._log("ok", result.detail)
+            return True
         self.consecutive_failures += 1
-        self._log("failure", f"round failed after {attempts} attempts: "
-                             f"{result.detail}")
+        self._log("failure", f"round failed after {outcome.attempts} "
+                             f"attempts: {result.detail}")
         if (self.consecutive_failures >= self.policy.failure_threshold
                 and not self.alarmed):
             self.alarmed = True

@@ -18,6 +18,7 @@ import json
 import os
 from itertools import zip_longest
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.resilience import JITTERED_RETRY, RetryPolicy
@@ -201,6 +202,18 @@ class TestFleetEngine:
             assert [cached for _, cached in shards] == [True, True]
             assert len({pid for pid, _ in shards} | {os.getpid()}) == 3
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_shard_caches_follow_the_swarm_rule(self, incremental):
+        """An incremental swarm gets an unbounded cache (an eviction
+        would reintroduce full walks); its shards must too, not the
+        bounded default every non-incremental shard gets."""
+        spec = FleetSpec(size=4, device_config=small_config(),
+                         incremental=incremental, seed="shard-caches")
+        expected = (spec.build().state_cache.max_entries if incremental
+                    else StateDigestCache().max_entries)
+        with FleetEngine(spec, workers=2) as engine:
+            assert engine.each(_cache_bound) == [expected, expected]
+
     def test_process_pool_equivalence(self):
         result = equivalence_check(default_equivalence_spec(4),
                                    workers=2, sweeps=2)
@@ -230,6 +243,10 @@ def _always_lossy(index, device_id):
 
 def _process_and_cache(swarm):
     return os.getpid(), swarm.state_cache is not None
+
+
+def _cache_bound(swarm):
+    return swarm.state_cache.max_entries
 
 
 def _member_indices(swarm):

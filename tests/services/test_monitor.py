@@ -7,6 +7,7 @@ from repro.core.messages import AttestationRequest
 from repro.core.resilience import RetryPolicy
 from repro.errors import ConfigurationError
 from repro.net.channel import Verdict
+from repro.obs.telemetry import Telemetry
 from repro.services.monitor import (AttestationMonitor, MonitorEvent,
                                     MonitorPolicy)
 from tests.conftest import tiny_config
@@ -116,6 +117,34 @@ class TestFailureHandling:
         assert monitor.alarmed
         failures = [e for e in monitor.events if e.kind == "failure"]
         assert "NOT in reference set" in failures[0].detail
+
+
+class TestResilienceTelemetry:
+    def test_monitored_rounds_export_session_counters(self):
+        """A monitored round is an ``attest_resilient`` round, so its
+        retries, timeouts and backoff land on the session counters."""
+        session = build_session(device_config=tiny_config(),
+                                adversary=DropFirstN(4),
+                                telemetry=Telemetry(), seed="mon-telemetry")
+        session.learn_reference_state()
+        monitor = AttestationMonitor(session, policy=quick_policy(
+            retry=RetryPolicy(attempt_timeout_seconds=3.0, max_retries=2,
+                              base_backoff_seconds=1.0,
+                              jitter_fraction=0.5)))
+        monitor.run(rounds=2)
+        kinds = [event.kind for event in monitor.events]
+        assert kinds == ["retry", "retry", "failure", "retry", "ok"]
+        registry = session.telemetry.registry
+        trace = session.telemetry.trace
+        assert registry.value("session.retries") == kinds.count("retry")
+        assert registry.value("session.timeouts") == 4
+        assert session.verifier.timeouts == 4
+        assert registry.value("verifier.timeouts") == 4
+        assert registry.value("session.backoff_seconds") >= 1.0 + 2.0 + 1.0
+        assert trace.count("session-retry") == 3
+        assert trace.count("session-timeout") == 4
+        assert trace.count("session-backoff") == 3
+        assert registry.value("monitor.backoff_seconds") == 0
 
 
 class TestValidation:

@@ -9,7 +9,13 @@ Two bugs are pinned here:
   even when the total time budget had almost run out, overshooting
   ``total_budget_seconds``.  The attempt deadline is now clamped to
   the remaining budget.
+
+And the audit log of seeded lossy runs is pinned event for event, so
+routing rounds through ``Session.attest_resilient`` cannot move a
+retry, a failure or an alarm.
 """
+
+import pytest
 
 from repro.core import build_session
 from repro.core.messages import AttestationRequest
@@ -104,3 +110,89 @@ class TestRoundBudgetClamp:
         elapsed = session.sim.now - start
         assert elapsed <= 12.0 + 1e-9
         assert monitor.rounds_run == 1
+
+
+QUICK = RetryPolicy(attempt_timeout_seconds=3.0, max_retries=1)
+#: Jittered backoff whose 10 s budget runs out on the same attempt as
+#: its two retries (the third attempt is clamped to what is left).
+BUDGETED = RetryPolicy(attempt_timeout_seconds=3.0, max_retries=2,
+                       base_backoff_seconds=1.0, jitter_fraction=0.5,
+                       total_budget_seconds=10.0)
+CASES = {
+    "drop-first-1": (lambda: DropFirstN(1), QUICK),
+    "drop-first-4": (lambda: DropFirstN(4), QUICK),
+    "drop-all": (DropAllRequests, QUICK),
+    "budget-drop-all": (DropAllRequests, BUDGETED),
+    "budget-drop-first-4": (lambda: DropFirstN(4), BUDGETED),
+}
+
+#: ``case -> (rounds_run, attempts_run, [(time, kind, detail), ...])``
+#: recorded from the monitor's own retry loop before it was replaced
+#: by one ``attest_resilient`` call per round.
+PINNED_LOGS = {
+    "drop-first-1": (3, 4, [
+        (3.001, "retry", "attempt 1 failed: no-response"),
+        (6.0009999999999994, "ok", "authentic; state known-good"),
+        (14.001, "ok", "authentic; state known-good"),
+        (22.000999999999998, "ok", "authentic; state known-good"),
+    ]),
+    "drop-first-4": (3, 5, [
+        (3.001, "retry", "attempt 1 failed: no-response"),
+        (6.0009999999999994, "failure",
+         "round failed after 2 attempts: no-response"),
+        (14.001, "retry", "attempt 1 failed: no-response"),
+        (17.000999999999998, "failure",
+         "round failed after 2 attempts: no-response"),
+        (17.000999999999998, "alarm", "2 consecutive failed rounds"),
+        (25.000999999999998, "recovered", "device attests trusted again"),
+        (25.000999999999998, "ok", "authentic; state known-good"),
+    ]),
+    "drop-all": (3, 6, [
+        (3.001, "retry", "attempt 1 failed: no-response"),
+        (6.0009999999999994, "failure",
+         "round failed after 2 attempts: no-response"),
+        (14.001, "retry", "attempt 1 failed: no-response"),
+        (17.000999999999998, "failure",
+         "round failed after 2 attempts: no-response"),
+        (17.000999999999998, "alarm", "2 consecutive failed rounds"),
+        (25.000999999999998, "retry", "attempt 1 failed: no-response"),
+        (28.000999999999998, "failure",
+         "round failed after 2 attempts: no-response"),
+    ]),
+    "budget-drop-all": (3, 9, [
+        (3.001, "retry", "attempt 1 failed: no-response"),
+        (7.1448878594046885, "retry", "attempt 2 failed: no-response"),
+        (10.0, "failure", "round failed after 3 attempts: no-response"),
+        (18.0, "retry", "attempt 1 failed: no-response"),
+        (22.190475157470075, "retry", "attempt 2 failed: no-response"),
+        (25.114301523856593, "failure",
+         "round failed after 3 attempts: no-response"),
+        (25.114301523856593, "alarm", "2 consecutive failed rounds"),
+        (33.1143015238566, "retry", "attempt 1 failed: no-response"),
+        (37.22292649832327, "retry", "attempt 2 failed: no-response"),
+        (40.12222704214555, "failure",
+         "round failed after 3 attempts: no-response"),
+    ]),
+    "budget-drop-first-4": (3, 6, [
+        (3.001, "retry", "attempt 1 failed: no-response"),
+        (7.1448878594046885, "retry", "attempt 2 failed: no-response"),
+        (10.0, "failure", "round failed after 3 attempts: no-response"),
+        (18.0, "retry", "attempt 1 failed: no-response"),
+        (22.190475157470075, "ok", "authentic; state known-good"),
+        (30.190475157470075, "ok", "authentic; state known-good"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_audit_log_is_pinned(case):
+    adversary, retry = CASES[case]
+    monitor = AttestationMonitor(
+        monitored_session(adversary=adversary(), seed="pinned"),
+        policy=MonitorPolicy(interval_seconds=5.0, failure_threshold=2,
+                             retry=retry))
+    monitor.run(rounds=3)
+    events = [(event.time, event.kind, event.detail)
+              for event in monitor.events]
+    assert (monitor.rounds_run, monitor.attempts_run, events) \
+        == PINNED_LOGS[case]
