@@ -33,6 +33,13 @@ Sharing one cache across a fleet turns spin-up from O(N * measure) into
 O(unique_configs * measure + N * cheap) and removes the per-attestation
 hash from sweeps; ``tests/gates/test_fleet.py`` gates both the hit-count
 arithmetic and the digest equivalence.
+
+The cache is a host memo, not simulated state: no checkpoint carries
+it, and restoring a checkpoint into a device clears the cache attached
+to it (``repro.snapshot.device.stage_device``).  A restored region's
+fingerprint comes from the document, so an entry learned before the
+restore -- or one a document supplied -- could vouch for bytes that were
+never measured; a cold cache learns every digest from restored memory.
 """
 
 from __future__ import annotations
@@ -64,8 +71,7 @@ class StateDigestCache:
     registry dumps (the PR 5 equivalence gate).
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "epoch",
-                 "_entries")
+    __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
 
     def __init__(self, max_entries: int = 256):
         if max_entries < 0:
@@ -75,12 +81,6 @@ class StateDigestCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Bumped whenever the entries stop being an append-at-back,
-        #: evict-at-front log with ``evictions`` counting the front --
-        #: a counter reset (:meth:`clear`, :meth:`reset_stats`) or an
-        #: in-place value change.  Within one epoch a delta checkpoint
-        #: can store just the entries inserted since its parent.
-        self.epoch = 0
         self._entries: dict[tuple, bytes] = {}
 
     def __len__(self) -> int:
@@ -99,11 +99,8 @@ class StateDigestCache:
         """Insert ``digest`` under ``key``, evicting the oldest entry
         when full (never evicts in unbounded mode).  A resident key is
         updated in place and keeps its FIFO position."""
-        existing = self._entries.get(key)
-        if existing is not None:
-            if existing != digest:
-                self._entries[key] = digest
-                self.epoch += 1
+        if key in self._entries:
+            self._entries[key] = digest
             return
         if self.max_entries and len(self._entries) >= self.max_entries:
             oldest = next(iter(self._entries))
@@ -114,7 +111,7 @@ class StateDigestCache:
     def clear(self) -> None:
         """Drop all entries *and* the hit/miss counters.
 
-        A clear starts a new measurement epoch; keeping the old counters
+        A clear starts counting afresh; keeping the old counters
         would skew :meth:`stats` and break any exact hit/miss arithmetic
         gate that spans the clear.  Use :meth:`reset_stats` to zero the
         counters without touching the entries.
@@ -123,12 +120,10 @@ class StateDigestCache:
         self.reset_stats()
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters, keeping cached entries
-        (starts a new :attr:`epoch`)."""
+        """Zero the hit/miss/eviction counters, keeping cached entries."""
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.epoch += 1
 
     def stats(self) -> dict:
         """JSON-ready effectiveness counters."""

@@ -461,7 +461,7 @@ SERVICE_SCHEMA = {
 SNAPSHOT_SCHEMA_ID = "repro.snapshot/v1"
 
 #: Schema of a checkpoint/restore snapshot envelope.  The ``state``
-#: payload is kind-specific (session/swarm/fleet) and is checked
+#: payload is kind-specific (session/swarm/service) and is checked
 #: structurally by the restore path itself, which refuses any document
 #: that does not match the rebuilt object; the envelope schema pins the
 #: version, the kind vocabulary and the content-addressed blob map.
@@ -471,7 +471,7 @@ SNAPSHOT_SCHEMA = {
     "properties": {
         "schema": {"type": "string", "enum": [SNAPSHOT_SCHEMA_ID]},
         "kind": {"type": "string",
-                 "enum": ["session", "swarm", "fleet", "service"]},
+                 "enum": ["session", "swarm", "service"]},
         "blobs": {"type": "object"},
         "state": {"type": "object"},
         "meta": {"type": "object"},
@@ -483,7 +483,6 @@ _SNAPSHOT_STATE_REQUIRED = {
     "session": ("sim", "device", "channel", "verifier", "verifier_node",
                 "anchor"),
     "swarm": ("sweeps_run", "members", "breakers"),
-    "fleet": ("workers", "sweeps_run", "shards"),
     "service": ("virtual_now", "members", "buckets"),
 }
 
@@ -505,7 +504,7 @@ SNAPSHOT_DELTA_SCHEMA = {
     "properties": {
         "schema": {"type": "string", "enum": [SNAPSHOT_DELTA_SCHEMA_ID]},
         "kind": {"type": "string",
-                 "enum": ["session", "swarm", "fleet"]},
+                 "enum": ["session", "swarm"]},
         "blobs": {"type": "object"},
         "state": {"type": "object"},
         "parent_id": {"type": "string"},

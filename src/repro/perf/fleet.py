@@ -32,6 +32,13 @@ the dominant host hash entirely.  The cache is content-addressed by
 write-chain fingerprints, so a compromised member misses the cache and
 is detected exactly as on the seed path.
 
+**One checkpoint format.**  :meth:`FleetEngine.snapshot` writes the
+``swarm`` document a sequential swarm writes, byte for byte, and
+:meth:`FleetEngine.restore` cuts any swarm document into its own
+shards, so a checkpoint moves between a sequential swarm and engines of
+any worker count.  The shard caches never travel (host memos are not
+state); a restore starts them cold.
+
 ``workers=1`` falls back to one plain in-process ``Swarm`` -- the
 uncached sequential seed path that :func:`equivalence_check` and
 ``BENCH_fleet.json``'s gate compare against.  Either way every
@@ -364,84 +371,61 @@ class FleetEngine:
 
     # -- checkpoint / restore -------------------------------------------
 
-    def _check_layout(self, state: dict, what: str, hint: str) -> None:
-        """Refuse a captured fleet state whose shards are not this
-        engine's shards."""
-        if state["workers"] != self.workers:
-            raise SnapshotError(
-                f"worker-count mismatch: {what} has {state['workers']} "
-                f"shard(s), engine resolved {self.workers}; {hint}")
-        captured = [shard["indices"] for shard in state["shards"]]
-        blocks = partition(self.spec.size, self.workers)
-        if captured != [list(block) for block in blocks]:
-            raise SnapshotError(
-                f"shard partition mismatch between {what} and engine")
-
     def snapshot(self, *, parent: dict | None = None) -> dict:
-        """Capture the whole engine as one ``fleet`` document.
+        """Capture the whole engine as one ``swarm`` document, the one a
+        sequential :class:`Swarm` of the same spec writes, byte for byte.
 
-        Per-shard swarm payloads (each with its own digest cache) under
-        one merged content-addressed blob map; restoring into an engine
-        with the same spec and worker count resumes every shard
-        exactly, and :meth:`Swarm.restore <repro.services.swarm.Swarm.\
-restore>` accepts the same document for sequential resume.
+        Every shard captures its own members concurrently; their
+        payloads join in shard order (members and breakers concatenate,
+        each sweep's trace watermarks join into one row) under one
+        merged content-addressed blob map.  No shard's digest cache
+        travels: a checkpoint holds simulated state only.
 
-        With ``parent`` (a fleet-kind document this engine descends
-        from -- full or delta, same worker count and shard partition),
-        every shard captures a ``repro.snapshot.delta/v1`` delta
-        *in parallel* against its own slice of the parent: each worker
-        receives only its members' parent region records and log
-        counts, diffs its regions' digest-tree leaves, and ships back
-        O(dirty) chunk blobs plus the log entries added since the
-        parent.
+        With ``parent`` (a swarm document this run descends from -- full
+        or delta, captured at any worker count), each shard captures a
+        ``repro.snapshot.delta/v1`` delta against its own slice of the
+        parent: each worker receives only its members' parent region
+        records and log counts, diffs its regions' digest-tree leaves,
+        and ships back O(dirty) chunk blobs plus the log entries added
+        since the parent.
         """
         from ..snapshot import (BlobStore, DeltaBase, make_document,
                                 parent_blob_keys, unwrap_parent)
+        from ..snapshot.swarm import join_swarm_states, split_swarm_state
         if parent is None:
             captured = self.each(_capture)
         else:
-            parent_state, parent_blobs = unwrap_parent(parent, "fleet")
-            self._check_layout(parent_state, "delta parent",
-                               "delta capture needs matching shard "
-                               "layouts")
+            parent_state, parent_blobs = unwrap_parent(parent, "swarm")
             captured = self._per_shard(_capture, [
                 (DeltaBase.for_swarm_state(
-                    shard["swarm"],
-                    parent_blobs.subset(parent_blob_keys(shard["swarm"]))),)
-                for shard in parent_state["shards"]])
+                    part, parent_blobs.subset(parent_blob_keys(part))),)
+                for part in split_swarm_state(
+                    parent_state, partition(self.spec.size, self.workers))])
         blobs = BlobStore()
-        shards = []
-        for block, (swarm_state, shard_blobs) in zip(
-                partition(self.spec.size, self.workers), captured):
+        for _, shard_blobs in captured:
             blobs.merge(shard_blobs)
-            shards.append({"indices": list(block), "swarm": swarm_state})
-        state = {"workers": self.workers, "sweeps_run": self.sweeps_run,
-                 "shards": shards}
-        return make_document("fleet", state, blobs, parent=parent)
+        state = join_swarm_states([part for part, _ in captured])
+        return make_document("swarm", state, blobs, parent=parent)
 
     def restore(self, documents) -> None:
-        """Overwrite this engine's shards from a ``fleet`` document or a
-        root-first chain of them, including their state-digest caches
-        and hit/miss counters -- spin-up accounting is replaced, not
-        added to.
+        """Overwrite this engine's shards from a ``swarm`` document or a
+        root-first chain of them, captured by a sequential swarm or an
+        engine of any worker count: the opened state is cut into this
+        engine's shards (:func:`partition`).  The engine must have been
+        created with the same spec as the captured fleet.
 
-        The engine must have been created with the same spec and
-        resolve to the same worker count as the captured one (shard
-        boundaries and digest caches are per-worker state); to resume a
-        fleet document on different hardware, restore it into an
-        uncached sequential :class:`~repro.services.swarm.Swarm`.
         Every shard stages before any shard commits, so a document
-        refused on one shard leaves every shard as it was.
+        refused on one shard leaves every shard as it was.  Each shard's
+        digest cache restarts cold (see :mod:`repro.snapshot.device`).
         """
         from ..snapshot.delta import open_chain
-        state, blobs = open_chain(documents, "fleet")
-        self._check_layout(state, "snapshot",
-                           "restore into a sequential Swarm to "
-                           "repartition")
+        from ..snapshot.swarm import split_swarm_state
+        state, blobs = open_chain(documents, "swarm")
+        parts = split_swarm_state(state,
+                                  partition(self.spec.size, self.workers))
         self.start()
         try:
-            self._per_shard(_stage, [(shard["swarm"], blobs)
-                                     for shard in state["shards"]])
+            self._per_shard(_stage, [(part, blobs) for part in parts])
         except SnapshotError:
             self.each(_commit, False)
             raise

@@ -459,9 +459,12 @@ class Swarm:
         """Overwrite this (freshly rebuilt) swarm from one document or a
         root-first delta chain (see ``repro.snapshot.delta.open_chain``).
 
-        Accepts swarm and fleet checkpoints (a fleet's shards are
-        flattened into fleet order); the rebuilt swarm must have the
-        same constructor parameters as the captured one.
+        Accepts any swarm checkpoint, including one a sharded
+        ``FleetEngine`` wrote at any worker count; the rebuilt swarm
+        must have the same constructor parameters as the captured one.
+        An attached state-digest cache restarts cold: the document
+        carries none, and entries learned at spin-up could vouch for
+        restored bytes nobody measured.
         """
         from ..snapshot.codec import staged
         from ..snapshot.delta import open_chain

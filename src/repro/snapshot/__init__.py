@@ -4,7 +4,14 @@ Serializable, versioned snapshots of the *entire* simulation state --
 device memory (content-addressed and deduplicated across a fleet),
 EA-MPU registers, clocks and interrupt state, freshness state, RNG
 stream positions, circuit breakers, telemetry -- at session, swarm and
-fleet granularity.
+service granularity.  A sharded ``FleetEngine`` writes and reads swarm
+documents, at any worker count.
+
+Snapshots hold simulated state only.  Host memos -- the state-digest
+cache that answers a measurement by region fingerprint -- never cross a
+checkpoint: restore clears the cache attached to each device it
+overwrites, so the first measurement after a restore reads the restored
+memory, as ``Code_Attest`` does on the prover.
 
 The core contract is **byte-identity**: restoring a snapshot into a
 freshly rebuilt object and continuing the run produces digests, cycle
@@ -54,16 +61,15 @@ from .delta import (DeltaBase, ParentMember, capture_region_delta,
                     load_chain, materialize_chain, parent_blob_keys,
                     unwrap_parent, verify_chain)
 from .device import snapshot_device
-from .document import (build_swarm_from_spec, document_id,
-                       flatten_fleet_state, load_document, make_document,
-                       save_document, swarm_spec)
+from .document import (build_swarm_from_spec, document_id, load_document,
+                       make_document, save_document, swarm_spec)
 from .service import snapshot_service
 from .session import snapshot_session
 from .swarm import snapshot_swarm
 
 __all__ = ["BlobStore", "snapshot_device", "snapshot_session",
            "snapshot_swarm", "snapshot_service", "make_document",
-           "save_document", "load_document", "flatten_fleet_state",
+           "save_document", "load_document",
            "swarm_spec", "build_swarm_from_spec",
            "rng_state", "encode_message", "decode_message",
            "encode_adversary",

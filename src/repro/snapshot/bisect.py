@@ -43,7 +43,7 @@ def checkpoint_trace_length(document: dict) -> int:
             raise SnapshotError(
                 "bisection needs observed checkpoints (the captured "
                 "swarm must have been built with observe=True)")
-        cumulative, evicted, _ = _record_counts(
+        cumulative, evicted = _record_counts(
             telemetry["trace"], "telemetry.trace.records", "trace records")
         total += cumulative - evicted
     return total

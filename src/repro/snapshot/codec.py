@@ -63,11 +63,37 @@ def staged(stage, *args):
 
 def overwrite(commits: list, target, /, **fields) -> None:
     """Stage setting ``target``'s attributes to ``fields``, values the
-    caller has already read and decoded."""
+    caller has already read and decoded.
+
+    A scalar field must keep the JSON type of the attribute it replaces
+    -- number (``int`` or ``float``, never ``bool``), ``bool`` or ``str``
+    -- or the stage raises :class:`SnapshotError`.  Attributes holding
+    ``None`` or anything else go unchecked, and ``None`` may replace any
+    value (an optional field, such as the time of a last result, returns
+    to it when a target that already ran is restored to an earlier
+    point)."""
+    for name, value in fields.items():
+        live = _json_scalar_type(getattr(target, name, None))
+        if (live is not None and value is not None
+                and _json_scalar_type(value) != live):
+            raise SnapshotError(
+                f"{type(target).__name__}.{name} must be a {live}, got "
+                f"{type(value).__name__} {value!r:.40}")
+
     def commit():
         for name, value in fields.items():
             setattr(target, name, value)
     commits.append(commit)
+
+
+def _json_scalar_type(value) -> str | None:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return None
 
 
 def b64(data: bytes) -> str:

@@ -40,9 +40,9 @@ per-device, and below the fingerprint bound, so no chunk diffing
 applies.
 
 Append-only logs (the channel transcript, verifier results, busy
-intervals, interrupt logs, breaker transitions, event traces, the
-state-digest cache; see :data:`LOG_FIELDS`) travel as **tails** in a
-delta instead of whole lists:
+intervals, interrupt logs, breaker transitions, event traces; see
+:data:`LOG_FIELDS`) travel as **tails** in a delta instead of whole
+lists:
 
 ``{"base": B, "tail": [...]}``
     ``B`` is the log's cumulative entry count at the parent; ``tail``
@@ -53,9 +53,9 @@ delta instead of whole lists:
 
 Capture writes a tail only when the parent's recorded counts prove the
 live log was merely appended to (and front-evicted) since then; any
-other history -- a count below the parent's, a cleared cache -- falls
-back to the plain full list, which folding accepts anywhere.  So a
-delta costs O(dirty chunks + new entries), not O(history).
+other history -- a count below the parent's -- falls back to the plain
+full list, which folding accepts anywhere.  So a delta costs O(dirty
+chunks + new entries), not O(history).
 
 Chain identity: every document is addressed by :func:`document_id`, the
 SHA-1 of its canonical JSON; a delta's ``parent_id`` must equal its
@@ -72,12 +72,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import islice
 
 from ..errors import SnapshotError
 from .blobs import BlobStore
-from .document import (document_id, flatten_fleet_state, is_delta,
-                       load_document, make_document, open_document)
+from .document import (document_id, is_delta, load_document,
+                       make_document, open_document)
 
 __all__ = ["DeltaBase", "LOG_FIELDS", "ParentMember", "capture_log",
            "capture_region_delta", "chunk_index", "load_chain",
@@ -88,24 +87,21 @@ _DIGEST_LEN = 20
 
 #: Every append-only log a delta stores as a tail, by dotted path from
 #: its scope's state (``"session"``: one per member; ``"swarm"``: one
-#: per swarm or fleet shard) to ``(scope, counter, epoch)``.  A ``*``
-#: segment expands over the keys of a dict (one breaker per device).
-#: ``counter`` names the sibling key totalling entries evicted from the
-#: front (so ``counter + len`` is the cumulative count), ``epoch`` a
-#: sibling key that changes whenever the log changes in any other way
-#: (a reset, an in-place edit); both are ``None`` for logs that only
+#: per swarm) to ``(scope, counter)``.  A ``*`` segment expands over the
+#: keys of a dict (one breaker per device).  ``counter`` names the
+#: sibling key totalling entries evicted from the front (so ``counter +
+#: len`` is the cumulative count); it is ``None`` for logs that only
 #: ever append.
 LOG_FIELDS = {
-    "channel.transcript": ("session", None, None),
-    "verifier_node.results": ("session", None, None),
-    "anchor.busy_intervals": ("session", None, None),
-    "telemetry.trace.records": ("session", "dropped_events", None),
-    "device.interrupts.dispatched": ("session", None, None),
-    "device.interrupts.coalesced": ("session", None, None),
-    "device.interrupts.dropped": ("session", None, None),
-    "breakers.*.transitions": ("swarm", None, None),
-    "state_cache.entries": ("swarm", "evictions", "epoch"),
-    "trace_marks": ("swarm", None, None),
+    "channel.transcript": ("session", None),
+    "verifier_node.results": ("session", None),
+    "anchor.busy_intervals": ("session", None),
+    "telemetry.trace.records": ("session", "dropped_events"),
+    "device.interrupts.dispatched": ("session", None),
+    "device.interrupts.coalesced": ("session", None),
+    "device.interrupts.dropped": ("session", None),
+    "breakers.*.transitions": ("swarm", None),
+    "trace_marks": ("swarm", None),
 }
 
 
@@ -124,36 +120,24 @@ def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
 
 def _session_states(state: dict, kind: str) -> list[dict]:
     """The per-member session payloads of a document state, in fleet
-    order (fleet shards are contiguous index blocks, so shard-major
-    order is global member order)."""
+    order."""
     if kind == "session":
         return [state]
-    if kind in ("swarm", "service"):
-        return [member["session"] for member in state["members"]]
-    return [member["session"] for shard in state["shards"]
-            for member in shard["swarm"]["members"]]
+    return [member["session"] for member in state["members"]]
 
 
 def _swarm_states(state: dict, kind: str) -> list[dict]:
-    """The swarm-scope payloads of a document state: none for a
-    session, the state itself for a swarm or a service (its digest
-    cache), one per fleet shard."""
-    if kind in ("swarm", "service"):
-        return [state]
-    if kind == "fleet":
-        return [shard["swarm"] for shard in state["shards"]]
-    return []
+    """The swarm-scope payloads of a document state: the state itself
+    for a swarm, none otherwise (a service records no swarm-scope
+    log)."""
+    return [state] if kind == "swarm" else []
 
 
 def _identity(state: dict, kind: str) -> list | None:
     if kind == "session":
         return None
-    if kind == "swarm":
-        return [(member["device_id"], member["index"])
-                for member in state["members"]]
     return [(member["device_id"], member["index"])
-            for shard in state["shards"]
-            for member in shard["swarm"]["members"]]
+            for member in state["members"]]
 
 
 def _index_box(record: dict):
@@ -205,9 +189,9 @@ class DeltaBase:
     Holds one :class:`ParentMember` per member session (sharing the
     parent's blob store), the member identity list used to refuse
     capture against a mismatched fleet, and the swarm-scope log counts
-    (empty unless built from one swarm payload).  It references none
-    of the parent's log entries, so a fleet ships it to shard workers
-    at O(members) cost.
+    (empty unless built from a swarm payload).  It references none of
+    the parent's log entries, so a fleet ships each shard worker its
+    own slice of the parent at O(members) cost.
     """
 
     __slots__ = ("_members", "identity", "logs")
@@ -232,7 +216,8 @@ class DeltaBase:
     @classmethod
     def for_swarm_state(cls, state: dict, blobs: BlobStore) -> "DeltaBase":
         """Build from a bare swarm-kind state payload (a fleet builds
-        one per shard this way and ships it to the shard's worker)."""
+        one per shard slice of its parent this way and ships it to the
+        shard's worker)."""
         return cls._from_state(state, "swarm", blobs)
 
     @classmethod
@@ -275,8 +260,8 @@ def parent_blob_keys(swarm_state: dict) -> list[str]:
 def _log_slots(scope_state: dict, name: str) -> list[tuple]:
     """Where log ``name`` lives in one scope payload: ``(key, box,
     field)`` per instance (``key`` is the ``*`` dict key, else
-    ``None``).  Absent or ``None`` logs (no telemetry, no cache) yield
-    nothing."""
+    ``None``).  Absent or ``None`` logs (no telemetry, no watermarks)
+    yield nothing."""
     *path, field = name.split(".")
     boxes = [(None, scope_state)]
     for part in [*path, None]:
@@ -331,55 +316,47 @@ def _tail_parts(record, fifo: bool, where: str) -> tuple[int, list, int]:
     return base, tail, evicted
 
 
-def _record_counts(box: dict, name: str, where: str) -> tuple[int, int, int]:
-    """``(cumulative, evicted, epoch)`` of one recorded log, full list
-    or tail, read from its own document alone."""
-    return _read_record(box, name, where)[:3]
+def _record_counts(box: dict, name: str, where: str) -> tuple[int, int]:
+    """``(cumulative, evicted)`` of one recorded log, full list or
+    tail, read from its own document alone."""
+    return _read_record(box, name, where)[:2]
 
 
 def _read_record(box: dict, name: str, where: str) -> tuple:
-    """``(cumulative, evicted, epoch, tail)`` of one recorded log;
-    ``tail`` is :func:`_tail_parts` of a tail record, ``None`` for a
-    full list."""
-    _, counter, epoch = LOG_FIELDS[name]
+    """``(cumulative, evicted, tail)`` of one recorded log; ``tail`` is
+    :func:`_tail_parts` of a tail record, ``None`` for a full list."""
+    counter = LOG_FIELDS[name][1]
     evicted = _count(box, counter, where)
-    epoch = _count(box, epoch, where)
     record = box[name.rsplit(".", 1)[-1]]
     if isinstance(record, list):
-        return evicted + len(record), evicted, epoch, None
+        return evicted + len(record), evicted, None
     tail = _tail_parts(record, counter is not None, where)
     cumulative = tail[0] + len(tail[1])
     if evicted > cumulative:
         raise SnapshotError(
             f"{where}: {counter} {evicted} exceeds the log's "
             f"cumulative count {cumulative}")
-    return cumulative, evicted, epoch, tail
+    return cumulative, evicted, tail
 
 
 def _scope_logs(payload: dict, scope: str):
     """``(name, key, box, field)`` for every log of ``scope`` recorded
     in one scope payload."""
-    for name, (log_scope, _, _) in LOG_FIELDS.items():
+    for name, (log_scope, _) in LOG_FIELDS.items():
         if log_scope == scope:
             for key, box, field in _log_slots(payload, name):
                 yield name, key, box, field
 
 
 def _log_counts(payload: dict, scope: str) -> dict:
-    """``{(name, key): (cumulative, evicted, epoch)}`` for every log of
+    """``{(name, key): (cumulative, evicted)}`` for every log of
     ``scope`` recorded in a parent payload."""
     return {(name, key): _record_counts(box, name, _label(name, key))
             for name, key, box, _ in _scope_logs(payload, scope)}
 
 
-def _last(entries, count: int):
-    if isinstance(entries, list):
-        return entries[len(entries) - count:]
-    return reversed(list(islice(reversed(entries), count)))
-
-
 def capture_log(entries, encode, parent, name: str, key=None, *,
-                evicted: int = 0, epoch: int = 0):
+                evicted: int = 0):
     """Record one live log (``LOG_FIELDS`` entry ``name``) for a
     snapshot.
 
@@ -388,21 +365,19 @@ def capture_log(entries, encode, parent, name: str, key=None, *,
     it.  Against a parent (a :class:`ParentMember` or
     :class:`DeltaBase`) whose counts prove the live log only grew at
     the back and lost entries at the front since then, it is a tail
-    record holding just the new entries.  ``entries`` is any sized,
-    reversible sequence (a list, a dict's items); ``evicted`` is the
-    live front-eviction counter and ``epoch`` the live reset epoch.
+    record holding just the new entries.  ``entries`` is the live list;
+    ``evicted`` is its front-eviction counter.
     """
     counts = parent.logs.get((name, key)) if parent is not None else None
     if counts is not None:
-        base, parent_evicted, parent_epoch = counts
+        base, parent_evicted = counts
         size = len(entries)
         appended = evicted + size - base
         gone = evicted - parent_evicted
-        if (epoch == parent_epoch and 0 <= gone <= base - parent_evicted
-                and 0 <= appended <= size):
+        if 0 <= gone <= base - parent_evicted and 0 <= appended <= size:
             record = {"base": base,
                       "tail": [encode(entry)
-                               for entry in _last(entries, appended)]}
+                               for entry in entries[size - appended:]]}
             if LOG_FIELDS[name][1] is not None:
                 record["evicted"] = gone
             return record
@@ -461,8 +436,7 @@ def _check_log_links(documents: list[dict]) -> list[dict]:
         counts = {}
         for ident, (box, _) in current.items():
             where = f"{_where(ident)} at chain document {position}"
-            cumulative, counter, _, tail = _read_record(box, ident[2],
-                                                        where)
+            cumulative, counter, tail = _read_record(box, ident[2], where)
             counts[ident] = cumulative, counter
             if tail is None:
                 continue
@@ -586,24 +560,18 @@ def open_chain(documents, kind: str | None = None) -> tuple[dict, BlobStore]:
     restore mutates anything: :func:`verify_chain`'s, every log of the
     opened state a list, and every region record well-typed with its
     prefix, image and chunk-digest index at their lengths.  ``kind=None``
-    takes the root's kind; ``"swarm"`` also opens a fleet chain,
-    flattened.  A chain of one is not folded, copied or hashed.
+    takes the root's kind.  A chain of one is not folded, copied or
+    hashed.
     """
     if isinstance(documents, dict):
         documents = [documents]
-    root = documents[0] if documents else None
-    flatten = (kind == "swarm" and isinstance(root, dict)
-               and root.get("kind") == "fleet")
-    opened, chain_logs = _open_links(documents,
-                                     "fleet" if flatten else kind)
-    kind = root["kind"]
+    opened, chain_logs = _open_links(documents, kind)
+    kind = documents[0]["kind"]
     if len(documents) == 1:
         state, blobs = opened[0]
     else:
         state, blobs = _fold(kind, opened, chain_logs)
     _check_images(state, kind, blobs)
-    if flatten:
-        state = flatten_fleet_state(state)
     return state, blobs
 
 

@@ -19,7 +19,11 @@ overwrites exactly the state that evolves at runtime:
 
 Deliberately **not** captured: ``mpu._violations`` -- a host-side
 diagnostic list of raised exceptions, never read back by simulated
-code; restored runs start with an empty list.
+code; restored runs start with an empty list -- and the attached
+:class:`~repro.mcu.statecache.StateDigestCache`, a host memo of digests
+keyed by fingerprint.  The commit clears it, because the fingerprints
+it reinstates come from the document: a checkpoint can restore memory,
+never vouch for it.
 """
 
 from __future__ import annotations
@@ -138,6 +142,12 @@ def stage_device(device, snap: dict, blobs: BlobStore,
                 region.digest_tree.invalidate()
         device.mpu._registers[:] = registers
         device.mpu._decoded = None
+        # The fingerprints just reinstated come from the document, so a
+        # digest the attached cache learned before (at the target's
+        # spin-up, or from another member) could vouch for bytes nobody
+        # measured.  Start it cold: the next measurement reads memory.
+        if device._state_cache is not None:
+            device._state_cache.clear()
     commits.append(commit)
 
     contexts = {name: ctx for name, ctx in device._contexts.items()

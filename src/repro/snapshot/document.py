@@ -1,9 +1,9 @@
-"""Snapshot documents: versioned JSON envelopes, file I/O, fleet merge.
+"""Snapshot documents: versioned JSON envelopes and file I/O.
 
-Every snapshot -- session, swarm or fleet -- ships in one envelope::
+Every snapshot -- session, swarm or service -- ships in one envelope::
 
     {"schema": "repro.snapshot/v1",
-     "kind": "session" | "swarm" | "fleet",
+     "kind": "session" | "swarm" | "service",
      "blobs": {fingerprint-hex: base64-image, ...},
      "state": {...kind-specific payload...},
      "meta": {...optional caller extras, e.g. the CLI rebuild spec...}}
@@ -13,13 +13,12 @@ snapshots are diffable, greppable, and safe to load from untrusted
 disks: restore rebuilds objects deterministically and only *overwrites*
 fields, it never instantiates types named by the document.
 
-A fleet document records per-shard swarm payloads (each with its own
-state-digest cache), so restoring into a :class:`FleetEngine` with the
-same shard partition resumes every worker exactly -- including cache
-hit/miss accounting.  :func:`flatten_fleet_state` merges the shards
-into a single swarm payload for sequential restore on any machine,
-dropping only the per-shard caches (host-side accounting; the restored
-sequential swarm runs uncached like the seed path).
+A document holds simulated state only.  Host memos -- the state-digest
+cache above all -- never travel: restore starts them cold, so a
+document can restore memory but never vouch for it.  A sharded
+:class:`~repro.perf.fleet.FleetEngine` therefore writes the same
+``swarm`` document a sequential swarm does, byte for byte, and either
+restores it at any worker count.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
 from .blobs import BlobStore
 
 __all__ = ["make_document", "document_id", "is_delta", "open_document",
-           "save_document", "load_document", "flatten_fleet_state",
-           "swarm_spec", "build_swarm_from_spec", "check_spec"]
+           "save_document", "load_document", "swarm_spec",
+           "build_swarm_from_spec", "check_spec"]
 
 
 def document_id(document: dict) -> str:
@@ -131,34 +130,6 @@ open_chain`)."""
     open_document(document, f"snapshot document {path}",
                   select=lambda state: ())
     return document
-
-
-def flatten_fleet_state(state: dict) -> dict:
-    """Merge a fleet document's shard payloads into one swarm payload.
-
-    Members concatenate in shard order (shards are contiguous index
-    blocks, so this is global member order), breakers union, and the
-    per-shard digest caches are dropped -- the flattened payload
-    restores into an *uncached* sequential swarm.
-    """
-    members = []
-    breakers = {}
-    for shard in state["shards"]:
-        members.extend(shard["swarm"]["members"])
-        breakers.update(shard["swarm"]["breakers"])
-    shard_marks = [shard["swarm"].get("trace_marks")
-                   for shard in state["shards"]]
-    if any(marks is not None for marks in shard_marks):
-        # Sweep s of the flattened fleet = the shards' sweep-s
-        # watermarks concatenated in shard (== member) order.
-        trace_marks = [[mark for marks in shard_marks
-                        for mark in marks[sweep]]
-                       for sweep in range(len(shard_marks[0]))]
-    else:
-        trace_marks = None
-    return {"sweeps_run": state["sweeps_run"], "members": members,
-            "breakers": breakers, "state_cache": None,
-            "trace_marks": trace_marks}
 
 
 # ---------------------------------------------------------------------------

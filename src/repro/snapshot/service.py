@@ -3,7 +3,8 @@
 A service snapshot is the member sessions (sharing one deduplicating
 :class:`~repro.snapshot.blobs.BlobStore`), the per-tenant token-bucket
 levels, the virtual admission clock, the admission counters and the
-service-level metrics registry.  Like every snapshot it is captured
+service-level metrics registry -- not the shared state-digest cache, a
+host memo that restore starts cold.  Like every snapshot it is captured
 between rounds (each member session must be quiescent) and restores by
 deterministic-rebuild-then-overwrite.
 
@@ -22,7 +23,7 @@ from ..obs.telemetry import Telemetry
 from .blobs import BlobStore
 from .codec import overwrite
 from .session import snapshot_session
-from .swarm import _snapshot_cache, stage_members
+from .swarm import stage_members
 
 __all__ = ["snapshot_service", "stage_service"]
 
@@ -42,8 +43,6 @@ def snapshot_service(service, blobs: BlobStore) -> dict:
                              "updated": bucket.updated,
                              "rate": bucket.rate, "burst": bucket.burst}
                     for tenant, bucket in service.buckets.items()},
-        "state_cache": (_snapshot_cache(service.state_cache)
-                        if service.state_cache is not None else None),
         "service_registry": (service.telemetry.registry.dump()
                              if service.observe else None),
     }

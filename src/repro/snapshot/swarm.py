@@ -2,19 +2,23 @@
 
 A swarm snapshot is the member sessions (all sharing one deduplicating
 :class:`~repro.snapshot.blobs.BlobStore` -- the fleet-scale win), the
-per-device circuit breakers, the sweep counter, and the shared
-state-digest cache.  The swarm's retry-jitter root RNG is deliberately
-*not* captured: the swarm only ever branches per-sweep substreams off
-it (``substream(f"{device_id}:{sweeps_run}")``), never consumes it
+per-device circuit breakers, the sweep counter and the per-sweep trace
+watermarks.  The swarm's retry-jitter root RNG is deliberately *not*
+captured: the swarm only ever branches per-sweep substreams off it
+(``substream(f"{device_id}:{sweeps_run}")``), never consumes it
 directly, so rebuilding it from the seed reproduces every future
-substream exactly.
+substream exactly.  Nor is its state-digest cache: it is a host memo,
+and restore starts it cold (see :mod:`repro.snapshot.device`).
 
-Restore stages every member -- and the breakers and the digest cache --
-before any of them commits, so a document refused at its last member
-leaves the first one untouched.  The cache payload is committed *after*
-the rebuilt swarm's spin-up, so the spin-up's own hit/miss accounting
-is overwritten -- a restored-and-continued fleet reports the same cache
-stats as one that never stopped.
+Every per-member field depends only on the member's global index, so a
+swarm payload splits into contiguous shards and joins back in shard
+order (:func:`split_swarm_state`, :func:`join_swarm_states`): one
+checkpoint format serves a sequential swarm and a sharded fleet of any
+worker count.
+
+Restore stages every member and the breakers before any of them
+commits, so a document refused at its last member leaves the first one
+untouched.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .codec import overwrite
 from .delta import capture_log
 from .session import snapshot_session, stage_session
 
-__all__ = ["snapshot_swarm", "stage_members", "stage_swarm"]
+__all__ = ["snapshot_swarm", "stage_members", "stage_swarm",
+           "join_swarm_states", "split_swarm_state"]
 
 
 def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
@@ -55,8 +60,6 @@ def snapshot_swarm(swarm, blobs: BlobStore, parent=None) -> dict:
         "breakers": {device_id: _snapshot_breaker(breaker, device_id,
                                                   parent)
                      for device_id, breaker in swarm.breakers.items()},
-        "state_cache": (_snapshot_cache(swarm.state_cache, parent)
-                        if swarm.state_cache is not None else None),
         "trace_marks": (capture_log(swarm._trace_marks, list, parent,
                                     "trace_marks")
                         if swarm.observe else None),
@@ -67,7 +70,7 @@ def stage_members(target, snap: dict, blobs: BlobStore, identity: tuple,
                   what: str, commits: list) -> None:
     """Stage what a swarm and a service share: every member session of
     a rebuilt ``target`` (a ``what``), matched on the member attributes
-    named in ``identity``, then its state-digest cache."""
+    named in ``identity``."""
     captured = [tuple(m[key] for key in identity) for m in snap["members"]]
     rebuilt = [tuple(getattr(m, key) for key in identity)
                for m in target.members]
@@ -77,18 +80,6 @@ def stage_members(target, snap: dict, blobs: BlobStore, identity: tuple,
             f"{what} has {rebuilt}")
     for member, record in zip(target.members, snap["members"]):
         stage_session(member.session, record["session"], blobs, commits)
-    if snap["state_cache"] is not None:
-        if target.state_cache is None:
-            raise SnapshotError(
-                f"snapshot carries a state-digest cache but the rebuilt "
-                f"{what} has none attached")
-        _stage_cache(target.state_cache, snap["state_cache"], commits)
-    elif target.state_cache is not None:
-        # Captured target ran uncached: continuing must too, or hit/miss
-        # accounting diverges from the uninterrupted run.
-        raise SnapshotError(
-            f"rebuilt {what} has a state-digest cache but the snapshot "
-            f"was taken without one")
 
 
 def stage_swarm(swarm, snap: dict, blobs: BlobStore, commits: list) -> None:
@@ -121,54 +112,70 @@ def _snapshot_breaker(breaker, device_id: str, parent=None) -> dict:
                                        "breakers.*.transitions", device_id)}
 
 
-def _snapshot_cache(cache, parent=None) -> dict:
-    # Insertion order carries the FIFO-eviction semantics.  Two key
-    # shapes exist: history keys are tuples of (start, end, fingerprint)
-    # span triples and encode as the original list-of-triples; content
-    # keys (incremental measurement, see ``Device._content_digest_key``)
-    # are ("content", (start, end, chunk_size, arity, root), ...) and
-    # encode tagged as ["content", [[...], ...]].  Decode dispatches on
-    # the first element -- a string only ever means a content key, so
-    # old documents (whose first element is a triple list) still load.
-    # The epoch travels only once it moved (see StateDigestCache.epoch),
-    # so documents of never-reset caches keep their shape.
-    state = {"hits": cache.hits, "misses": cache.misses,
-             "evictions": cache.evictions,
-             "max_entries": cache.max_entries,
-             "entries": capture_log(
-                 cache._entries.items(),
-                 lambda item: [_encode_cache_key(item[0]), item[1].hex()],
-                 parent, "state_cache.entries",
-                 evicted=cache.evictions, epoch=cache.epoch)}
-    if cache.epoch:
-        state["epoch"] = cache.epoch
-    return state
+# ---------------------------------------------------------------------------
+# Shards: a swarm payload cut into contiguous member blocks and back
+# ---------------------------------------------------------------------------
+
+def join_swarm_states(parts: list[dict]) -> dict:
+    """One swarm payload from the payloads of contiguous shards, given
+    in shard order: members and breakers concatenate, and each sweep's
+    trace watermarks (a full list, or the rows of a tail record) join
+    into one row.  Equal to a capture of the whole swarm."""
+    marks = [part["trace_marks"] for part in parts]
+    return {"sweeps_run": parts[0]["sweeps_run"],
+            "members": [member for part in parts
+                        for member in part["members"]],
+            "breakers": {device_id: breaker for part in parts
+                         for device_id, breaker in part["breakers"].items()},
+            "trace_marks": (None if marks[0] is None else _with_rows(
+                marks[0], [[mark for row in rows for mark in row]
+                           for rows in zip(*map(_rows, marks))]))}
 
 
-def _encode_cache_key(key: tuple) -> list:
-    if key and key[0] == "content":
-        return ["content",
-                [[start, end, chunk_size, arity, root.hex()]
-                 for start, end, chunk_size, arity, root in key[1:]]]
-    return [[start, end, fingerprint.hex()]
-            for start, end, fingerprint in key]
+def split_swarm_state(state: dict, blocks: list[range]) -> list[dict]:
+    """Cut a swarm payload (full, or a delta's) into the shards named by
+    ``blocks``, contiguous member-index blocks covering the fleet in
+    order (see :func:`repro.perf.fleet.partition`); the inverse of
+    :func:`join_swarm_states`.  A payload whose members, breakers or
+    watermark rows do not cover exactly those blocks is refused."""
+    size = blocks[-1].stop
+    members, breakers = state["members"], state["breakers"]
+    marks = state.get("trace_marks")
+    rows = [] if marks is None else _rows(marks)
+    if not isinstance(members, list) or len(members) != size:
+        raise SnapshotError(f"member set mismatch: snapshot does not hold "
+                            f"the {size} members of the rebuilt fleet")
+    if any(not isinstance(row, list) or len(row) != size for row in rows):
+        raise SnapshotError(f"trace_marks rows must hold one watermark per "
+                            f"member ({size})")
+    # Breakers go with their members, by device id, not by position: a
+    # document listing them in another order cuts the same way.
+    ids = [member.get("device_id") if isinstance(member, dict) else None
+           for member in members]
+    if (not isinstance(breakers, dict) or len(breakers) != size
+            or not all(isinstance(device_id, str) and device_id in breakers
+                       for device_id in ids)):
+        raise SnapshotError("circuit-breaker set mismatch")
+    shard_breakers = [{device_id: breakers[device_id]
+                       for device_id in ids[block.start:block.stop]}
+                      for block in blocks]
+    return [{"sweeps_run": state["sweeps_run"],
+             "members": members[block.start:block.stop],
+             "breakers": shard,
+             "trace_marks": (None if marks is None else _with_rows(
+                 marks, [row[block.start:block.stop] for row in rows]))}
+            for block, shard in zip(blocks, shard_breakers)]
 
 
-def _decode_cache_key(spans: list) -> tuple:
-    if spans and spans[0] == "content":
-        return ("content",
-                *((start, end, chunk_size, arity, bytes.fromhex(root))
-                  for start, end, chunk_size, arity, root in spans[1]))
-    return tuple((start, end, bytes.fromhex(fingerprint))
-                 for start, end, fingerprint in spans)
+def _rows(marks) -> list:
+    """The watermark rows of a ``trace_marks`` record: the whole list,
+    or the rows a tail record appends."""
+    rows = marks.get("tail") if isinstance(marks, dict) else marks
+    if not isinstance(rows, list):
+        raise SnapshotError("trace_marks must be a list or a tail record")
+    return rows
 
 
-def _stage_cache(cache, state: dict, commits: list) -> None:
-    if cache.max_entries != state["max_entries"]:
-        raise SnapshotError("state-digest cache capacity mismatch")
-    overwrite(commits, cache,
-              _entries={_decode_cache_key(spans): bytes.fromhex(digest)
-                        for spans, digest in state["entries"]},
-              hits=state["hits"], misses=state["misses"],
-              evictions=state.get("evictions", 0),
-              epoch=state.get("epoch", 0))
+def _with_rows(marks, rows: list):
+    """A ``trace_marks`` record shaped like ``marks`` holding ``rows``."""
+    return rows if isinstance(marks, list) else {**marks, "tail": rows}

@@ -6,8 +6,8 @@
    battery readings, merged metrics and merged trace.
 2. **Sharded engine** -- the same contract through
    :class:`repro.perf.fleet.FleetEngine` with two worker processes,
-   including the per-shard digest-cache counters, plus the fleet
-   document restoring into a sequential swarm.
+   plus the engine's (swarm) document restoring into a sequential
+   swarm.
 3. **Replay** -- ``replay_to_seq`` reproduces the uninterrupted run's
    merged trace prefix exactly, ending on the requested seq.
 4. **Dedup** -- a size-N honest fleet snapshot holds exactly N + 2
@@ -81,15 +81,13 @@ def test_sharded_engine_restores_exactly():
         live.sweep()
         expected = {"states": live.device_states(),
                     "registry": live.merged_registry().dump(),
-                    "trace": live.merged_trace_records(),
-                    "cache": live.cache_stats()}
+                    "trace": live.merged_trace_records()}
     with FleetEngine(spec, workers=WORKERS) as resumed:
         resumed.restore(document)
         resumed.sweep()
         got = {"states": resumed.device_states(),
                "registry": resumed.merged_registry().dump(),
-               "trace": resumed.merged_trace_records(),
-               "cache": resumed.cache_stats()}
+               "trace": resumed.merged_trace_records()}
     for key in expected:
         assert expected[key] == got[key], \
             f"fleet engine: {key} diverges after sharded restore"
@@ -97,7 +95,7 @@ def test_sharded_engine_restores_exactly():
     flat.restore(document)
     flat.sweep()
     assert flat.device_states() == expected["states"], \
-        "fleet engine: fleet document does not restore into a sequential swarm"
+        "fleet engine: engine document does not restore into a sequential swarm"
 
 
 def test_replay_reproduces_the_trace_prefix(uninterrupted):

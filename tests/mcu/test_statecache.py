@@ -84,19 +84,6 @@ class TestCacheStructure:
         assert cache.stats()["hits"] == 0
         assert cache.lookup(("a",)) == b"A"
 
-    def test_epoch_moves_only_when_the_fifo_log_breaks(self):
-        cache = StateDigestCache(max_entries=2)
-        for key in "abc":                   # inserts and one eviction
-            cache.store((key,), key.encode())
-        cache.store(("c",), b"c")           # same value: no change
-        assert cache.epoch == 0
-        cache.store(("c",), b"C")           # in-place rewrite
-        assert cache.epoch == 1
-        cache.reset_stats()
-        assert cache.epoch == 2
-        cache.clear()
-        assert cache.epoch == 3
-
     def test_restore_of_existing_key_keeps_fifo_position(self):
         # Re-storing a resident key must neither evict anything nor
         # refresh the key's age: this is FIFO, not LRU.

@@ -23,7 +23,6 @@ from repro.errors import SnapshotError
 from repro.incremental import DEFAULT_CHUNK_SIZE, DigestTree
 from repro.mcu.device import DeviceConfig
 from repro.mcu.profiles import ALL_PROFILES
-from repro.mcu.statecache import StateDigestCache
 from repro.obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID,
                               validate_registry_dump,
                               validate_snapshot_delta)
@@ -37,7 +36,6 @@ from repro.snapshot import (BlobStore, bisect_replay,
 from repro.snapshot import delta as delta_module
 from repro.snapshot.codec import b64, rng_state, unb64
 from repro.snapshot.delta import _log_instances, _session_states
-from repro.snapshot.swarm import _decode_cache_key, _encode_cache_key
 
 
 def canonical(document) -> str:
@@ -150,16 +148,6 @@ class TestBlobStore:
         subset = store.subset(["aa" * 20, "ff" * 20])
         assert len(subset) == 1
         assert subset.get("aa" * 20) == b"x"
-
-
-class TestCacheKeyCodec:
-    def test_span_key_round_trips(self):
-        key = ((0, 64, b"\x01" * 20), (64, 256, b"\x02" * 20))
-        assert _decode_cache_key(_encode_cache_key(key)) == key
-
-    def test_content_key_round_trips(self):
-        key = ("content", (0, 4096, 4096, 16, b"\x03" * 20))
-        assert _decode_cache_key(_encode_cache_key(key)) == key
 
 
 class TestDeltaChain:
@@ -337,7 +325,6 @@ def continuation(target):
         view["freshness"] = target.freshness_fingerprint()
     else:
         view["states"] = target.device_states()
-        view["cache"] = target.cache_stats()
     return view
 
 
@@ -407,14 +394,17 @@ class TestRestoreFromChain:
                 resumed.restore(documents)
                 views.append(continuation(resumed))
         assert views[0] == views[1] == expected
-        # The same chain opens flattened into a sequential swarm (an
-        # uncached one: flattening drops the per-shard caches).
+        # The same chain is a swarm chain: it restores into a sequential
+        # swarm, which continues as the engine did.
         sequential = []
         for documents in (chain, materialize_chain(chain)):
             swarm = spec.build()
             swarm.restore(documents)
             sequential.append(continuation(swarm))
         assert sequential[0] == sequential[1]
+        shared = ("report", "trace", "registry")
+        assert [{key: view[key] for key in shared} for view in sequential] \
+            == [{key: expected[key] for key in shared}] * 2
 
 
 def log_records(document):
@@ -436,6 +426,12 @@ def channel(document, member=0):
                            document["kind"])[member]["channel"]
 
 
+def trace(document, member=0):
+    """A member's event-trace record: the front-evicting log."""
+    return _session_states(document["state"],
+                           document["kind"])[member]["telemetry"]["trace"]
+
+
 class TestLogTails:
     def test_delta_logs_are_tails(self):
         swarm = build_swarm()
@@ -446,7 +442,7 @@ class TestLogTails:
         assert {"channel.transcript", "verifier_node.results",
                 "anchor.busy_intervals", "telemetry.trace.records",
                 "device.interrupts.dispatched", "breakers.*.transitions",
-                "state_cache.entries", "trace_marks"} <= names
+                "trace_marks"} <= names
         assert all(isinstance(record, dict) for record in records.values())
         assert all(isinstance(record, list)
                    for record in log_records(chain[0]).values())
@@ -491,28 +487,6 @@ class TestLogTails:
             else:
                 assert isinstance(record, list)
         assert canonical(materialize_chain(chain)) == canonical(full)
-
-    def test_fifo_cache_tail_counts_evictions(self):
-        swarm = build_swarm(size=4, seed="delta-cache-evict",
-                            state_cache=StateDigestCache(max_entries=10))
-        swarm.sweep()
-        chain, full = capture_chain(swarm, 3)
-        entries = chain[-1]["state"]["state_cache"]["entries"]
-        assert isinstance(entries, dict) and entries["evicted"] > 0
-        assert canonical(materialize_chain(chain)) == canonical(full)
-
-    def test_cleared_cache_falls_back_to_a_full_record(self):
-        swarm = build_swarm(seed="delta-cache-clear")
-        swarm.sweep()
-        parent = swarm.snapshot()
-        swarm.state_cache.clear()
-        swarm.sweep()
-        delta = swarm.snapshot(parent=parent)
-        assert isinstance(delta["state"]["state_cache"]["entries"], list)
-        assert delta["state"]["state_cache"]["epoch"] == 1
-        assert isinstance(channel(delta)["transcript"], dict)
-        assert canonical(materialize_chain([parent, delta])) == \
-            canonical(swarm.snapshot())
 
     def test_shorter_live_log_falls_back_to_a_full_record(self):
         swarm = build_swarm(seed="delta-shrunk")
@@ -636,22 +610,21 @@ class TestHostileTails:
         self.parent_refused(bad[2], "must be a list")
 
     def test_more_evictions_than_the_parent_held(self, chain, tmp_path):
-        held = len(chain[0]["state"]["state_cache"]["entries"])
+        held = len(trace(chain[0])["records"])
 
         def mutate(document):
-            cache = document["state"]["state_cache"]
-            cache["entries"]["evicted"] += held + 1
+            box = trace(document)
+            box["records"]["evicted"] += held + 1
             # Enough new entries that the counter stays below the
             # cumulative count: only the eviction claim is wrong.
-            cache["entries"]["tail"] += \
-                chain[0]["state"]["state_cache"]["entries"] * 2
-            cache["evictions"] += held + 1
+            box["records"]["tail"] += trace(chain[0])["records"] * 2
+            box["dropped_events"] += held + 1
         self.refused(self.tampered(chain, 1, mutate),
                      "evicts .* entries but the parent held", tmp_path)
 
     def test_counter_beyond_the_cumulative_count(self, chain, tmp_path):
         def mutate(document):
-            document["state"]["state_cache"]["evictions"] = 10 ** 6
+            trace(document)["dropped_events"] = 10 ** 6
         bad = self.tampered(chain, 2, mutate)
         self.refused(bad, "exceeds the log's cumulative count", tmp_path)
         self.parent_refused(bad[2], "exceeds the log's cumulative count")
@@ -1067,15 +1040,22 @@ class TestShardedFleetDelta:
             resumed.restore(folded)
             assert resumed.sweep() == continued
 
-    def test_worker_count_mismatch_refuses(self):
+    def test_delta_against_another_worker_count(self):
+        """A parent captured on two workers serves a delta captured on
+        one or three, equal to the sequential swarm's delta."""
         spec = FleetSpec(size=4, incremental=True, seed="delta-fleet-wc")
         with FleetEngine(spec, workers=2) as engine:
             engine.sweep()
             parent = engine.snapshot()
-        with FleetEngine(spec, workers=1) as other:
-            other.sweep()
-            with pytest.raises(SnapshotError, match="shard"):
-                other.snapshot(parent=parent)
+        sequential = spec.build()
+        sequential.sweep()
+        sequential.sweep()
+        expected = canonical(sequential.snapshot(parent=parent))
+        for workers in (1, 3):
+            with FleetEngine(spec, workers=workers) as other:
+                other.sweep()
+                other.sweep()
+                assert canonical(other.snapshot(parent=parent)) == expected
 
 
 class TestBisect:

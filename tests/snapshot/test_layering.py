@@ -159,3 +159,133 @@ def test_open_detector_sees_every_form(tmp_path):
         "    return validate_snapshot(document), store\n"
         "text = b'x'.decode()\n")
     assert open_calls(module) == ["bad.py:5", "bad.py:6", "bad.py:7"]
+
+
+# ---------------------------------------------------------------------------
+# Host memos never cross a checkpoint; one document kind per fleet
+# ---------------------------------------------------------------------------
+
+#: Names of the state-digest cache and its internals.  ``repro.snapshot``
+#: may use none of them: a checkpoint holds simulated state only.
+CACHE_NAMES = {"state_cache", "_state_cache", "StateDigestCache",
+               "statecache", "hits", "misses", "evictions", "max_entries",
+               "epoch", "reset_stats"}
+
+
+def _parents(tree) -> dict:
+    return {child: node for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)}
+
+
+def _is_commit_clear(node, parents) -> bool:
+    """``<device>._state_cache`` read by the one permitted use: inside
+    the commit closure of ``stage_device``, as the receiver of a
+    ``.clear()`` call or tested against ``None``."""
+    up = parents.get(node)
+    used = ((isinstance(up, ast.Attribute) and up.attr == "clear"
+             and isinstance(parents.get(up), ast.Call))
+            or (isinstance(up, ast.Compare)
+                and isinstance(up.comparators[0], ast.Constant)
+                and up.comparators[0].value is None))
+    functions = []
+    while up is not None:
+        if isinstance(up, ast.FunctionDef):
+            functions.append(up.name)
+        up = parents.get(up)
+    return used and functions[:2] == ["commit", "stage_device"]
+
+
+def cache_touches(path) -> list[str]:
+    """Every use of :data:`CACHE_NAMES` in one module -- attribute,
+    name, import or string key -- except the commit's ``clear()``."""
+    tree = ast.parse(path.read_text())
+    parents = _parents(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.ImportFrom):
+            name = (node.module or "").rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value.split(".", 1)[0]
+        else:
+            continue
+        if name in CACHE_NAMES and not _is_commit_clear(node, parents):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_snapshot_never_carries_a_host_cache():
+    modules = sorted(SNAPSHOT_DIR.glob("*.py"))
+    assert [hit for path in modules for hit in cache_touches(path)] == []
+    clears = (SNAPSHOT_DIR / "device.py").read_text().count(
+        "._state_cache.clear()")
+    assert clears == 1
+
+
+def test_cache_detector_sees_every_form(tmp_path):
+    module = tmp_path / "bad.py"
+    module.write_text(
+        "from ..mcu.statecache import StateDigestCache\n"
+        "def snapshot_swarm(swarm):\n"
+        "    return {'state_cache': swarm.state_cache.hits}\n"
+        "def stage_device(device, commits):\n"
+        "    device._state_cache.lookup(key)\n"
+        "    def commit():\n"
+        "        if device._state_cache is not None:\n"
+        "            device._state_cache.clear()\n"
+        "    commits.append(commit)\n"
+        "LOG = {'state_cache.entries': ('swarm', 'evictions')}\n"
+        "def stage_swarm(swarm):\n"
+        "    swarm.members[0].session.device._state_cache.clear()\n")
+    assert cache_touches(module) == [
+        "bad.py:1", "bad.py:1", "bad.py:3", "bad.py:3", "bad.py:3",
+        "bad.py:5", "bad.py:10", "bad.py:10", "bad.py:12"]
+
+
+def fleet_literals(path) -> list[str]:
+    """``"fleet"`` string literals in one module, other than a module
+    name in ``__all__`` or the label of a report validator
+    (``_check(report, schema, "fleet")``): the per-shard document kind
+    is gone, and a literal is how it would come back."""
+    tree = ast.parse(path.read_text())
+    parents = _parents(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Constant) and node.value == "fleet"):
+            continue
+        up = parents[node]
+        if isinstance(up, (ast.List, ast.Tuple)):
+            owner = parents[up]
+            if (isinstance(owner, ast.Assign)
+                    and [getattr(t, "id", None) for t in owner.targets]
+                    == ["__all__"]):
+                continue
+        if (isinstance(up, ast.Call) and getattr(up.func, "id", None)
+                == "_check" and up.args[-1] is node):
+            continue
+        found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_no_fleet_document_kind():
+    modules = sorted(SRC_DIR.rglob("*.py"))
+    assert [hit for path in modules for hit in fleet_literals(path)] == []
+
+
+def test_fleet_detector_sees_every_form(tmp_path):
+    module = tmp_path / "bad.py"
+    module.write_text(
+        "__all__ = ['fleet', 'swarm']\n"
+        "def f(state, kind):\n"
+        "    make_document('fleet', state, blobs)\n"
+        "    if kind == 'fleet':\n"
+        "        return {'fleet': ('workers', 'shards')}\n"
+        "    return _check(report, SCHEMA, 'fleet')\n"
+        "ENUM = {'enum': ['session', 'swarm', 'fleet']}\n")
+    assert fleet_literals(module) == ["bad.py:3", "bad.py:4", "bad.py:5",
+                                      "bad.py:7"]

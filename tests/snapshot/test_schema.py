@@ -22,10 +22,16 @@ class TestValidateSnapshot:
             "swarm", {"sweeps_run": 0, "members": [], "breakers": {}},
             BlobStore())
         assert validate_snapshot(swarm) == []
+
+    def test_fleet_kind_flagged(self):
+        """A sharded fleet writes swarm documents; the per-shard
+        ``fleet`` kind is gone, so a document claiming it is invalid."""
         fleet = make_document(
             "fleet", {"workers": 2, "sweeps_run": 0, "shards": []},
             BlobStore())
-        assert validate_snapshot(fleet) == []
+        assert any("kind" in error for error in validate_snapshot(fleet))
+        with pytest.raises(SnapshotError, match="kind"):
+            open_chain(fleet)
 
     def test_schema_id_pinned(self):
         assert minimal_session_document()["schema"] == SNAPSHOT_SCHEMA_ID

@@ -79,8 +79,9 @@ class TestSwarmRoundTrip:
 
 
 class TestStateCacheCounters:
-    """A bounded cache's counters survive a checkpoint: a restored and
-    continued fleet reports what an uninterrupted one does."""
+    """A document carries no state-digest cache, so a restore starts
+    the target's cache cold: no entries, no counts, whatever the target
+    learned at spin-up."""
 
     @staticmethod
     def build():
@@ -94,36 +95,21 @@ class TestStateCacheCounters:
             member.session.device.ram.load(
                 256, bytes([round_index, member.index]) * 8)
 
-    def test_evictions_survive_restore(self):
+    def test_documents_without_the_counter_restore_zero(self):
         live, restored = self.build(), self.build()
         for round_index in range(3):
             self.rewrite(live, round_index)
             live.sweep()
-        restored.restore(live.snapshot())
-        assert live.state_cache.evictions > 0
-        assert restored.state_cache.stats() == live.state_cache.stats()
+        document = live.snapshot()
+        assert "state_cache" not in document["state"]
+        assert len(restored.state_cache) > 0      # learned at spin-up
+        restored.restore(document)
+        assert restored.state_cache.stats() == {
+            "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
+            "max_entries": 2}
         for swarm in (live, restored):
             self.rewrite(swarm, 9)
-            swarm.sweep()
-        assert restored.state_cache.stats() == live.state_cache.stats()
-
-    def test_documents_without_the_counter_restore_zero(self):
-        live, restored = self.build(), self.build()
-        self.rewrite(live, 0)
-        live.sweep()
-        document = live.snapshot()
-        del document["state"]["state_cache"]["evictions"]
-        restored.restore(document)
-        assert restored.state_cache.evictions == 0
-
-    def test_reset_epoch_round_trips(self):
-        live, restored = self.build(), self.build()
-        live.sweep()
-        assert "epoch" not in live.snapshot()["state"]["state_cache"]
-        live.state_cache.clear()
-        live.sweep()
-        restored.restore(live.snapshot())
-        assert restored.state_cache.epoch == live.state_cache.epoch == 1
+        assert restored.sweep() == live.sweep()
 
 
 class TestReplay:
@@ -162,24 +148,26 @@ class TestReplay:
 
 class TestFleetEngine:
     def test_sharded_round_trip_with_caches(self):
+        """Cached shards write a swarm document without their caches,
+        and restore into cold ones."""
         spec = FleetSpec(size=6, observe=True, seed="fleet-rt")
         with FleetEngine(spec, workers=2) as live:
             live.sweep()
             document = live.snapshot()
-            assert document["kind"] == "fleet"
-            assert len(document["state"]["shards"]) == 2
+            assert document["kind"] == "swarm"
+            assert "state_cache" not in document["state"]
             live.sweep()
             expected_states = live.device_states()
             expected_registry = live.merged_registry().dump()
-            expected_cache = live.cache_stats()
 
         with FleetEngine(spec, workers=2) as resumed:
             resumed.restore(document)
+            assert resumed.cache_stats() == {"hits": 0, "misses": 0,
+                                             "evictions": 0, "entries": 0}
             resumed.sweep()
             assert resumed.sweeps_run == 2
             assert resumed.device_states() == expected_states
             assert resumed.merged_registry().dump() == expected_registry
-            assert resumed.cache_stats() == expected_cache
 
     def test_fleet_document_restores_into_sequential_swarm(self):
         spec = FleetSpec(size=4, observe=True, seed="fleet-flat")
@@ -196,6 +184,32 @@ class TestFleetEngine:
         assert swarm.device_states() == expected_states
         assert swarm.merged_registry().dump() == expected_registry
 
+    def test_breaker_order_does_not_matter(self):
+        """Breakers are keyed by device id: a document listing them in
+        reverse order restores the same into a sequential swarm and
+        into an engine of any worker count."""
+        spec = FleetSpec(size=4, device_config=tiny_config(), observe=True,
+                         seed="fleet-breaker-order")
+        swarm = spec.build()
+        swarm.sweep()
+        document = json.loads(json.dumps(swarm.snapshot()))
+        swarm.sweep()
+        expected = fingerprint(swarm)
+        breakers = document["state"]["breakers"]
+        document["state"]["breakers"] = dict(reversed(breakers.items()))
+        sequential = spec.build()
+        sequential.restore(document)
+        sequential.sweep()
+        assert fingerprint(sequential) == expected
+        for workers in (2, 3):
+            with FleetEngine(spec, workers=workers) as engine:
+                engine.restore(document)
+                engine.sweep()
+                assert engine.device_states() == expected["device_states"]
+                assert engine.merged_trace_records() == expected["trace"]
+                assert json.dumps(engine.merged_registry().dump(),
+                                  sort_keys=True) == expected["registry"]
+
     def test_refused_shard_leaves_every_shard_untouched(self):
         """Shard 0 stages cleanly and shard 1 refuses: no shard
         commits, so the engine reads as it did before the restore."""
@@ -204,8 +218,8 @@ class TestFleetEngine:
         with FleetEngine(spec, workers=2) as live:
             live.sweep()
             document = json.loads(json.dumps(live.snapshot()))
-        shard = document["state"]["shards"][1]["swarm"]
-        shard["members"][0]["session"]["device"]["mpu"] = "abc"
+        # Member 2 is the first member of shard 1.
+        document["state"]["members"][2]["session"]["device"]["mpu"] = "abc"
         with FleetEngine(spec, workers=2) as target:
             before = (target.merged_registry().dump(),
                       target.total_attestations())
@@ -214,13 +228,16 @@ class TestFleetEngine:
             assert (target.merged_registry().dump(),
                     target.total_attestations()) == before
 
-    def test_worker_count_mismatch_refuses(self):
-        spec = FleetSpec(size=4, seed="fleet-wc")
-        with FleetEngine(spec, workers=2) as live:
+    def test_document_of_another_fleet_size_refuses(self):
+        """Shards are cut by the engine's own partition: a document of
+        a larger fleet is refused, not silently cut short."""
+        with FleetEngine(FleetSpec(size=5, seed="fleet-wc"),
+                         workers=2) as live:
             live.sweep()
             document = live.snapshot()
-        with FleetEngine(spec, workers=1) as other:
-            with pytest.raises(SnapshotError, match="worker"):
+        with FleetEngine(FleetSpec(size=4, seed="fleet-wc"),
+                         workers=2) as other:
+            with pytest.raises(SnapshotError, match="member set"):
                 other.restore(document)
 
 
@@ -291,12 +308,6 @@ def drop_breaker(document):
     del breakers[sorted(breakers)[-1]]
 
 
-def add_cache(document):
-    document["state"]["state_cache"] = {
-        "hits": 0, "misses": 0, "evictions": 0, "max_entries": 256,
-        "entries": []}
-
-
 def mmio_region(document):
     """A member-1 region record for the memory-mapped IRQ mask, with an
     image that fits its window: the one read path accepts it, only the
@@ -339,7 +350,9 @@ class TestHostileFullDocuments:
         (hostile_swarm, run_swarm,
          set_field("device.regions.0.name", "renamed")),
         (hostile_swarm, run_swarm, drop_breaker),
-        (hostile_swarm, run_swarm, add_cache),
+        (hostile_swarm, run_swarm, set_field("device.cpu_cycles", "x")),
+        (hostile_swarm, run_swarm, set_field("device.cpu_cycles", True)),
+        (hostile_swarm, run_swarm, set_field("sim.now", "0")),
         (hostile_swarm, run_swarm, mmio_region),
         (hostile_service, run_service, raise_rate),
         (hostile_service, run_service, drop("sim")),
@@ -347,7 +360,8 @@ class TestHostileFullDocuments:
             "service-transcript-tail", "mpu-base64", "message-base64",
             "no-sim", "nonce-hex", "reference-hex", "no-clock",
             "no-telemetry", "region-renamed", "breaker-missing",
-            "cache-added", "mmio-region", "service-rate",
+            "cycles-string", "cycles-bool", "now-string", "mmio-region",
+            "service-rate",
             "service-no-sim"])
     def test_refused_without_mutation(self, build, run, mutate):
         live = build()
