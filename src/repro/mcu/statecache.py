@@ -36,7 +36,7 @@ arithmetic and the digest equivalence.
 
 The cache is a host memo, not simulated state: no checkpoint carries
 it, and restoring a checkpoint into a device clears the cache attached
-to it (``repro.snapshot.device.stage_device``).  A restored region's
+to it (the region hook of ``repro.snapshot.device.DEVICE``).  A restored region's
 fingerprint comes from the document, so an entry learned before the
 restore -- or one a document supplied -- could vouch for bytes that were
 never measured; a cold cache learns every digest from restored memory.

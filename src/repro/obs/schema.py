@@ -478,14 +478,6 @@ SNAPSHOT_SCHEMA = {
     },
 }
 
-#: Schema of the per-kind required keys inside a snapshot's ``state``.
-_SNAPSHOT_STATE_REQUIRED = {
-    "session": ("sim", "device", "channel", "verifier", "verifier_node",
-                "anchor"),
-    "swarm": ("sweeps_run", "members", "breakers"),
-    "service": ("virtual_now", "members", "buckets"),
-}
-
 #: Version identifier of *delta* checkpoint documents: a checkpoint
 #: recorded against a parent document, carrying per region only the
 #: chunks whose ``DigestTree`` leaves are dirty since the parent, and
@@ -744,8 +736,8 @@ def validate_analysis_report(report: dict) -> list[str]:
 
 def _check_envelope(document, schema, label: str, key_noun: str,
                     payload_noun: str) -> list[str]:
-    """Envelope shape, hex blob keys with string payloads, and the
-    per-kind ``state`` keys of a full or delta snapshot document."""
+    """Envelope shape and hex blob keys with string payloads of a full
+    or delta snapshot document."""
     errors = _check(document, schema, label)
     if not isinstance(document, dict):
         return errors
@@ -759,23 +751,16 @@ def _check_envelope(document, schema, label: str, key_noun: str,
             if not isinstance(value, str):
                 errors.append(f"{label}.blobs[{key!r}]: {payload_noun} "
                               f"must be a base64 string")
-    state = document.get("state")
-    required = _SNAPSHOT_STATE_REQUIRED.get(document.get("kind"))
-    if isinstance(state, dict) and required is not None:
-        for key in required:
-            if key not in state:
-                errors.append(f"{label}.state: missing required key "
-                              f"{key!r} for kind {document['kind']!r}")
     return errors
 
 
 def validate_snapshot(document: dict) -> list[str]:
     """Validate a decoded ``repro.snapshot/v1`` envelope.
 
-    Checks the envelope shape, that every blob key looks like a hex
-    fingerprint with a string payload, and that the ``state`` payload
-    carries the top-level keys its ``kind`` requires.  Field-by-field
-    consistency with a rebuilt object is the restore path's job.
+    Checks the envelope shape and that every blob key looks like a hex
+    fingerprint with a string payload.  The ``state`` payload's keys
+    are declared by the snapshot field tables and checked where a
+    document is opened (``repro.snapshot.document.open_document``).
     """
     return _check_envelope(document, SNAPSHOT_SCHEMA, "snapshot",
                            "fingerprint", "image")
@@ -786,8 +771,8 @@ def validate_snapshot_delta(document: dict) -> list[str]:
 
     Same structural checks as :func:`validate_snapshot` (blob keys are
     content-address hex -- region fingerprints, chunk leaf digests or
-    chunk-index digests -- with string payloads; per-kind state keys)
-    plus the ``parent_id`` chain link.  Whether the parent actually
+    chunk-index digests -- with string payloads) plus the ``parent_id``
+    chain link.  Whether the parent actually
     matches is the materialization path's job.
     """
     return _check_envelope(document, SNAPSHOT_DELTA_SCHEMA,

@@ -55,24 +55,16 @@ commits; a *commit* only assigns.  A hostile document therefore raises
 
 from .bisect import bisect_replay, checkpoint_trace_length, linear_scan
 from .blobs import BlobStore
-from .codec import (decode_message, encode_adversary, encode_message,
-                    rng_state)
-from .delta import (DeltaBase, ParentMember, capture_region_delta,
-                    load_chain, materialize_chain, parent_blob_keys,
-                    unwrap_parent, verify_chain)
-from .device import snapshot_device
+from .codec import decode_message, encode_message, rng_state
+from .delta import (DeltaBase, ParentMember, load_chain, materialize_chain,
+                    parent_blob_keys, unwrap_parent, verify_chain)
+from .device import capture_region_delta
 from .document import (build_swarm_from_spec, document_id, load_document,
                        make_document, save_document, swarm_spec)
-from .service import snapshot_service
-from .session import snapshot_session
-from .swarm import snapshot_swarm
 
-__all__ = ["BlobStore", "snapshot_device", "snapshot_session",
-           "snapshot_swarm", "snapshot_service", "make_document",
-           "save_document", "load_document",
+__all__ = ["BlobStore", "make_document", "save_document", "load_document",
            "swarm_spec", "build_swarm_from_spec",
            "rng_state", "encode_message", "decode_message",
-           "encode_adversary",
            "DeltaBase", "ParentMember", "capture_region_delta",
            "document_id", "load_chain", "materialize_chain",
            "parent_blob_keys", "unwrap_parent", "verify_chain",

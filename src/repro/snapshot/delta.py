@@ -41,7 +41,7 @@ applies.
 
 Append-only logs (the channel transcript, verifier results, busy
 intervals, interrupt logs, breaker transitions, event traces; see
-:data:`LOG_FIELDS`) travel as **tails** in a delta instead of whole
+:data:`LOGS`) travel as **tails** in a delta instead of whole
 lists:
 
 ``{"base": B, "tail": [...]}``
@@ -77,32 +77,19 @@ from ..errors import SnapshotError
 from .blobs import BlobStore
 from .document import (document_id, is_delta, load_document,
                        make_document, open_document)
+from .session import SESSION
+from .swarm import SWARM
 
-__all__ = ["DeltaBase", "LOG_FIELDS", "ParentMember", "capture_log",
-           "capture_region_delta", "chunk_index", "load_chain",
+__all__ = ["DeltaBase", "LOGS", "ParentMember", "load_chain",
            "materialize_chain", "open_chain", "parent_blob_keys",
            "unwrap_parent", "verify_chain"]
 
 _DIGEST_LEN = 20
 
-#: Every append-only log a delta stores as a tail, by dotted path from
-#: its scope's state (``"session"``: one per member; ``"swarm"``: one
-#: per swarm) to ``(scope, counter)``.  A ``*`` segment expands over the
-#: keys of a dict (one breaker per device).  ``counter`` names the
-#: sibling key totalling entries evicted from the front (so ``counter +
-#: len`` is the cumulative count); it is ``None`` for logs that only
-#: ever append.
-LOG_FIELDS = {
-    "channel.transcript": ("session", None),
-    "verifier_node.results": ("session", None),
-    "anchor.busy_intervals": ("session", None),
-    "telemetry.trace.records": ("session", "dropped_events"),
-    "device.interrupts.dispatched": ("session", None),
-    "device.interrupts.coalesced": ("session", None),
-    "device.interrupts.dropped": ("session", None),
-    "breakers.*.transitions": ("swarm", None),
-    "trace_marks": ("swarm", None),
-}
+#: The log column of the field tables (see :class:`~repro.snapshot.codec.
+#: Table`): each log a delta stores as a tail, by dotted path from its
+#: scope's state, to ``(scope, eviction counter)``.
+LOGS = {**SESSION.logs, **SWARM.logs}
 
 
 def unwrap_parent(document: dict, kind: str) -> tuple[dict, BlobStore]:
@@ -150,7 +137,7 @@ def _index_box(record: dict):
 class ParentMember:
     """One member's view of a parent checkpoint: its region records,
     the parent's blob store (for chunk-digest indexes) and its
-    session-scope log counts (see :func:`capture_log`)."""
+    session-scope log counts (see :class:`repro.snapshot.codec.Log`)."""
 
     __slots__ = ("regions", "blobs", "logs")
 
@@ -325,7 +312,7 @@ def _record_counts(box: dict, name: str, where: str) -> tuple[int, int]:
 def _read_record(box: dict, name: str, where: str) -> tuple:
     """``(cumulative, evicted, tail)`` of one recorded log; ``tail`` is
     :func:`_tail_parts` of a tail record, ``None`` for a full list."""
-    counter = LOG_FIELDS[name][1]
+    counter = LOGS[name][1]
     evicted = _count(box, counter, where)
     record = box[name.rsplit(".", 1)[-1]]
     if isinstance(record, list):
@@ -342,7 +329,7 @@ def _read_record(box: dict, name: str, where: str) -> tuple:
 def _scope_logs(payload: dict, scope: str):
     """``(name, key, box, field)`` for every log of ``scope`` recorded
     in one scope payload."""
-    for name, (log_scope, _) in LOG_FIELDS.items():
+    for name, (log_scope, _) in LOGS.items():
         if log_scope == scope:
             for key, box, field in _log_slots(payload, name):
                 yield name, key, box, field
@@ -353,35 +340,6 @@ def _log_counts(payload: dict, scope: str) -> dict:
     ``scope`` recorded in a parent payload."""
     return {(name, key): _record_counts(box, name, _label(name, key))
             for name, key, box, _ in _scope_logs(payload, scope)}
-
-
-def capture_log(entries, encode, parent, name: str, key=None, *,
-                evicted: int = 0):
-    """Record one live log (``LOG_FIELDS`` entry ``name``) for a
-    snapshot.
-
-    Without a ``parent`` (or without its counts for this log) the
-    result is the full encoded list, exactly as a full snapshot stores
-    it.  Against a parent (a :class:`ParentMember` or
-    :class:`DeltaBase`) whose counts prove the live log only grew at
-    the back and lost entries at the front since then, it is a tail
-    record holding just the new entries.  ``entries`` is the live list;
-    ``evicted`` is its front-eviction counter.
-    """
-    counts = parent.logs.get((name, key)) if parent is not None else None
-    if counts is not None:
-        base, parent_evicted = counts
-        size = len(entries)
-        appended = evicted + size - base
-        gone = evicted - parent_evicted
-        if 0 <= gone <= base - parent_evicted and 0 <= appended <= size:
-            record = {"base": base,
-                      "tail": [encode(entry)
-                               for entry in entries[size - appended:]]}
-            if LOG_FIELDS[name][1] is not None:
-                record["evicted"] = gone
-            return record
-    return [encode(entry) for entry in entries]
 
 
 def _log_instances(state: dict, kind: str) -> dict:
@@ -487,64 +445,6 @@ def _fold_logs(chain: list[dict]) -> None:
         # The entries are shared with the input documents; a JSON
         # round trip keeps the folded document independent of them.
         box[field] = json.loads(json.dumps(entries[start:]))
-
-
-# ---------------------------------------------------------------------------
-# Capture
-# ---------------------------------------------------------------------------
-
-def chunk_index(region, blobs: BlobStore) -> tuple[list | None, dict]:
-    """The region's leaf digests and its ``chunk_size``/``index``
-    record fields, storing the index row in ``blobs``; ``(None, {})``
-    when no digest tree spans exactly the fingerprinted window (its
-    leaves would not address the bytes the fingerprint witnesses)."""
-    exclude = region.fingerprint_exclude_below
-    tree = region.digest_tree
-    if (tree is None or tree.window_start != exclude
-            or tree.window_size != region.size - exclude):
-        return None, {}
-    leaves = tree.leaf_digests(region._data)
-    payload = b"".join(leaves)
-    key = hashlib.sha1(payload).hexdigest()
-    blobs.put(key, payload)
-    return leaves, {"chunk_size": tree.chunk_size, "index": key}
-
-
-def capture_region_delta(region, parent: ParentMember,
-                         blobs: BlobStore) -> dict:
-    """Record one region against a parent checkpoint; returns the
-    ``delta`` entry for the region record, storing chunk payloads and
-    the leaf-digest index into ``blobs`` as needed."""
-    exclude = region.fingerprint_exclude_below
-    window_size = region.size - exclude
-    fingerprint_hex = region._fingerprint.hex()
-    leaves, fields = chunk_index(region, blobs)
-    parent_record = parent.regions.get(region.name)
-    geometry_matches = (parent_record is not None
-                        and parent_record["size"] == region.size
-                        and parent_record["exclude"] == exclude)
-    if geometry_matches and parent_record["fingerprint"] == fingerprint_hex:
-        delta = {"mode": "unchanged"}
-    else:
-        parent_leaves = None
-        if geometry_matches and leaves is not None:
-            parent_leaves = parent.chunk_digests(
-                region.name, fields["chunk_size"], window_size)
-        if parent_leaves is not None:
-            chunk_size = fields["chunk_size"]
-            dirty = [i for i, (old, new)
-                     in enumerate(zip(parent_leaves, leaves)) if old != new]
-            window = memoryview(region._data)[exclude:]
-            for i in dirty:
-                lo = i * chunk_size
-                hi = min(lo + chunk_size, window_size)
-                blobs.put(leaves[i].hex(), bytes(window[lo:hi]))
-            delta = {"mode": "chunks", "dirty": dirty}
-        else:   # the whole window, as a full snapshot stores it
-            blobs.put(fingerprint_hex, bytes(region._data[exclude:]))
-            delta = {"mode": "blob"}
-    delta.update(fields)
-    return delta
 
 
 # ---------------------------------------------------------------------------

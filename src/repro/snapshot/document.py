@@ -32,9 +32,16 @@ from ..errors import SnapshotError
 from ..obs.schema import (SNAPSHOT_DELTA_SCHEMA_ID, SNAPSHOT_SCHEMA_ID,
                           validate_snapshot, validate_snapshot_delta)
 from .blobs import BlobStore
+from .codec import BOOL, INT, NUMBER, STRING
+from .service import SERVICE
+from .session import SESSION
+from .swarm import SWARM
 
-__all__ = ["make_document", "document_id", "is_delta", "open_document",
-           "save_document", "load_document", "swarm_spec",
+#: The field table of each document kind's ``state``.
+KINDS = {"session": SESSION, "swarm": SWARM, "service": SERVICE}
+
+__all__ = ["KINDS", "make_document", "document_id", "is_delta",
+           "open_document", "save_document", "load_document", "swarm_spec",
            "build_swarm_from_spec", "check_spec"]
 
 
@@ -75,9 +82,11 @@ def open_document(document, what: str, kind: str | None = None,
                   select=None) -> tuple[dict, BlobStore]:
     """The one gate every snapshot read passes: validate ``document``
     against the full or the delta schema (:func:`is_delta` chooses),
-    refuse a ``kind`` other than the expected one, and decode its blobs
-    -- all of them, or only the keys ``select(state)`` names.  Returns
-    ``(state, blobs)``; ``what`` names the document in errors."""
+    refuse a ``kind`` other than the expected one and a ``state``
+    missing a top-level key of its kind's table (:data:`KINDS`), and
+    decode its blobs -- all of them, or only the keys ``select(state)``
+    names.  Returns ``(state, blobs)``; ``what`` names the document in
+    errors."""
     if is_delta(document):
         errors = validate_snapshot_delta(document)
     else:
@@ -89,6 +98,10 @@ def open_document(document, what: str, kind: str | None = None,
             f"snapshot kind mismatch: {what} is {document['kind']!r}, "
             f"expected {kind!r}")
     state, encoded = document["state"], document["blobs"]
+    for key in KINDS[document["kind"]].names:
+        if key not in state:
+            raise SnapshotError(f"invalid {what}: {document['kind']} state "
+                                f"is missing key {key!r}")
     if select is not None:
         encoded = {key: encoded[key] for key in select(state)
                    if key in encoded}
@@ -152,39 +165,32 @@ def swarm_spec(*, size: int, profile: str = "roam-hardened",
             "stagger_seconds": stagger_seconds, "seed": seed}
 
 
-#: Field types of a :func:`swarm_spec` (``incremental`` may be absent).
-_SWARM_SPEC_FIELDS = {"size": int, "profile": str, "auth_scheme": str,
-                      "policy": str, "ram_kb": int, "flash_kb": int,
-                      "app_kb": int, "retry": bool, "faults": bool,
-                      "incremental": bool, "stagger_seconds": float,
-                      "seed": str}
+#: Field codecs of a :func:`swarm_spec` (``incremental`` may be absent).
+_SWARM_SPEC_FIELDS = {"size": INT, "profile": STRING, "auth_scheme": STRING,
+                      "policy": STRING, "ram_kb": INT, "flash_kb": INT,
+                      "app_kb": INT, "retry": BOOL, "faults": BOOL,
+                      "incremental": BOOL, "stagger_seconds": NUMBER,
+                      "seed": STRING}
 
 
 def check_spec(spec, fields: dict, optional: tuple = ()) -> None:
     """Refuse a rebuild spec read from a document unless it is an
-    object carrying every field of ``fields`` (name -> type) with a
-    value of that type; only names in ``optional`` may be absent.
-    ``int`` excludes ``bool``; ``float`` accepts any JSON number."""
+    object carrying every field of ``fields`` (name -> value codec)
+    with a value its codec takes; only names in ``optional`` may be
+    absent."""
     if not isinstance(spec, dict):
         raise SnapshotError(f"rebuild spec must be an object, got "
                             f"{type(spec).__name__}")
-    for name, kind in fields.items():
+    for name, codec in fields.items():
         if name not in spec:
             if name in optional:
                 continue
             raise SnapshotError(f"rebuild spec is missing field {name!r}")
-        value = spec[name]
-        if kind is float:
-            ok = type(value) in (int, float)
-        elif kind is int:
-            ok = type(value) is int
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            raise SnapshotError(
-                f"rebuild spec field {name!r} must be "
-                f"{'a number' if kind is float else kind.__name__}, "
-                f"got {value!r}")
+        try:
+            codec.decode(spec[name])
+        except TypeError as exc:
+            raise SnapshotError(f"rebuild spec field {name!r} {exc}") \
+                from None
 
 
 def build_swarm_from_spec(spec: dict):

@@ -2,9 +2,10 @@
 
 A round that gets no answer must report ``no-response``, never the
 verifier node's previous verdict.  The rule holds because it lives in
-one place: outside ``repro.core.protocol`` and the snapshot capture of
-a verifier node, nothing in ``src/`` reads ``VerifierNode.results``
-(the only attribute of that name in the package), and the only
+one place: outside ``repro.core.protocol``, nothing in ``src/`` reads
+``VerifierNode.results`` (the only attribute of that name in the
+package; the snapshot's verifier-node table names it as a row path, a
+log it captures and restores whole), and the only
 ``no-response`` :class:`VerificationResult` is built by
 ``Session.attest_once`` -- so no caller can grow a second,
 drifting copy of the check."""
@@ -18,8 +19,7 @@ PACKAGE_DIR = SRC_DIR / "repro"
 
 #: ``(module, function)`` scopes that may read ``.results``; a ``None``
 #: function allows the whole module.
-RESULTS_READERS = {("core/protocol.py", None),
-                   ("snapshot/session.py", "_snapshot_verifier_node")}
+RESULTS_READERS = {("core/protocol.py", None)}
 #: The one ``(module, class, function)`` that builds ``no-response``.
 SILENCE_BUILDER = ("core/protocol.py", "Session", "attest_once")
 
@@ -109,7 +109,8 @@ def test_results_detector_fires(tmp_path):
     assert results_reads(module, "services/bad.py") == [
         "services/bad.py:3", "services/bad.py:4", "services/bad.py:6"]
     assert results_reads(module, "snapshot/session.py") == [
-        "snapshot/session.py:3", "snapshot/session.py:4"]
+        "snapshot/session.py:3", "snapshot/session.py:4",
+        "snapshot/session.py:6"]
 
 
 def test_silence_detector_fires(tmp_path):

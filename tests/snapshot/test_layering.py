@@ -179,8 +179,8 @@ def _parents(tree) -> dict:
 
 def _is_commit_clear(node, parents) -> bool:
     """``<device>._state_cache`` read by the one permitted use: inside
-    the commit closure of ``stage_device``, as the receiver of a
-    ``.clear()`` call or tested against ``None``."""
+    the commit closure of ``_stage_regions`` (the device's region hook),
+    as the receiver of a ``.clear()`` call or tested against ``None``."""
     up = parents.get(node)
     used = ((isinstance(up, ast.Attribute) and up.attr == "clear"
              and isinstance(parents.get(up), ast.Call))
@@ -192,7 +192,7 @@ def _is_commit_clear(node, parents) -> bool:
         if isinstance(up, ast.FunctionDef):
             functions.append(up.name)
         up = parents.get(up)
-    return used and functions[:2] == ["commit", "stage_device"]
+    return used and functions[:2] == ["commit", "_stage_regions"]
 
 
 def cache_touches(path) -> list[str]:
@@ -233,7 +233,7 @@ def test_cache_detector_sees_every_form(tmp_path):
         "from ..mcu.statecache import StateDigestCache\n"
         "def snapshot_swarm(swarm):\n"
         "    return {'state_cache': swarm.state_cache.hits}\n"
-        "def stage_device(device, commits):\n"
+        "def _stage_regions(device, commits):\n"
         "    device._state_cache.lookup(key)\n"
         "    def commit():\n"
         "        if device._state_cache is not None:\n"
@@ -289,3 +289,65 @@ def test_fleet_detector_sees_every_form(tmp_path):
         "ENUM = {'enum': ['session', 'swarm', 'fleet']}\n")
     assert fleet_literals(module) == ["bad.py:3", "bad.py:4", "bad.py:5",
                                       "bad.py:7"]
+
+
+# ---------------------------------------------------------------------------
+# One field table per class: the mirror capture/stage pairs stay gone
+# ---------------------------------------------------------------------------
+
+#: Prefixes of the hand-written per-class capture/stage functions the
+#: field tables replace.
+MIRROR_PREFIXES = ("_snapshot_", "_stage_")
+
+
+def table_hooks() -> set[str]:
+    """Names of the functions the field tables call as hooks."""
+    import importlib
+
+    from repro.snapshot.codec import Table
+    names = set()
+    for path in SNAPSHOT_DIR.glob("*.py"):
+        module = importlib.import_module(f"repro.snapshot.{path.stem}")
+        for table in vars(module).values():
+            if not isinstance(table, Table):
+                continue
+            for row in table.rows:
+                for hook in (row.codec.capture, row.codec.stage):
+                    if getattr(hook, "__self__", None) is None:
+                        names.add(getattr(hook, "__name__", ""))
+    return names
+
+
+def mirror_functions(path, hooks) -> list[str]:
+    """Functions of one module named like a per-class capture or stage
+    function, other than a hook a table names."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith(MIRROR_PREFIXES)
+            and node.name not in hooks]
+
+
+def test_no_mirror_capture_stage_pairs():
+    hooks = table_hooks()
+    assert {"_stage_regions", "_stage_mpu", "_stage_contexts",
+            "_stage_adversary"} <= hooks
+    modules = sorted(SNAPSHOT_DIR.glob("*.py"))
+    assert [hit for path in modules
+            for hit in mirror_functions(path, hooks)] == []
+
+
+def test_mirror_detector_sees_every_form(tmp_path):
+    module = tmp_path / "bad.py"
+    module.write_text(
+        "def _snapshot_channel(channel, parent=None):\n"
+        "    return {'delivered': channel.delivered}\n"
+        "def _stage_channel(channel, state, commits):\n"
+        "    pass\n"
+        "def _stage_regions(device, records, blobs, commits):\n"
+        "    async def _stage_clock(clock):\n"
+        "        pass\n"
+        "def snapshot_session(session, blobs):\n"
+        "    pass\n")
+    assert mirror_functions(module, {"_stage_regions"}) == [
+        "bad.py:1", "bad.py:3", "bad.py:6"]

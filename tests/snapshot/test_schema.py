@@ -7,11 +7,12 @@ from repro.obs.schema import SNAPSHOT_SCHEMA_ID, validate_snapshot
 from repro.snapshot import (BlobStore, load_document, make_document,
                             save_document)
 from repro.snapshot.delta import open_chain
+from repro.snapshot.document import open_document
 
 
 def minimal_session_document():
     state = {"sim": {}, "device": {}, "channel": {}, "verifier": {},
-             "verifier_node": {}, "anchor": {}}
+             "verifier_node": {}, "anchor": {}, "telemetry": None}
     return make_document("session", state, BlobStore())
 
 
@@ -57,10 +58,13 @@ class TestValidateSnapshot:
         assert validate_snapshot(document)
 
     def test_missing_state_keys_flagged(self):
+        """The session table's keys are the required ones; the document
+        gate names the one missing."""
         document = minimal_session_document()
+        open_document(document, "document", "session")
         del document["state"]["anchor"]
-        errors = validate_snapshot(document)
-        assert any("anchor" in error for error in errors)
+        with pytest.raises(SnapshotError, match="'anchor'"):
+            open_document(document, "document", "session")
 
 
 class TestDocumentPlumbing:
@@ -76,7 +80,8 @@ class TestDocumentPlumbing:
         blobs = BlobStore()
         blobs.put("0102", b"payload")
         document = make_document(
-            "swarm", {"sweeps_run": 3, "members": [], "breakers": {}},
+            "swarm", {"sweeps_run": 3, "members": [], "breakers": {},
+                      "trace_marks": None},
             blobs, meta={"spec": {"size": 1}})
         path = tmp_path / "checkpoint.json"
         save_document(document, path)
