@@ -34,6 +34,15 @@ Rules
     ``.observe`` on a telemetry-ish receiver must exist in
     :data:`repro.obs.schema.METRIC_NAMES`; literal kinds passed to
     ``.event`` must exist in :data:`repro.obs.trace.EVENT_KINDS`.
+``OWN001``
+    No back-reference from a part to its owner: a bound method of
+    ``self``, or a closure over ``self``, must not be handed to an
+    ``add_*``/``register*``/``attach*`` call on a receiver rooted at
+    ``self``, assigned to an ``on_*`` attribute of one, or passed to a
+    constructor whose result is stored on ``self``.  The part would
+    hold its owner, and the pair would be a reference cycle that only
+    the collector frees; the owner passes itself at call time instead,
+    or the hook holds no reference back.
 
 Violations can be waived by a checked-in JSON waiver list (one entry =
 one rule+path pair with a justification) rather than special-cased in
@@ -316,8 +325,112 @@ def _check_telemetry_names(tree: ast.AST, path: str):
                    f"repro.obs.schema.METRIC_NAMES")
 
 
+_NOT_BOUND_METHODS = {"property", "staticmethod", "classmethod", "setter",
+                      "cached_property"}
+
+
+def _bound_methods(cls: ast.ClassDef) -> set[str]:
+    """Names for which ``self.<name>`` is a bound method."""
+    names = set()
+    for node in cls.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = {(_dotted(d) or ("",))[-1] for d in node.decorator_list}
+        if not decorators & _NOT_BOUND_METHODS:
+            names.add(node.name)
+    return names
+
+
+def _uses_self(node: ast.AST) -> bool:
+    return any(isinstance(inner, ast.Name) and inner.id == "self"
+               for inner in ast.walk(node))
+
+
+def _rooted_at_self(node: ast.AST) -> bool:
+    dotted = _dotted(node)
+    return dotted is not None and dotted[0] == "self"
+
+
+def _owner_hooks(method: ast.AST, methods: set[str]):
+    """``hook(node)``: what ``node`` is if it holds ``self`` -- a bound
+    method of it, or a closure or lambda over it -- else None."""
+    closures = {node.name for node in ast.walk(method)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node is not method and _uses_self(node)}
+
+    def hook(node: ast.AST) -> str | None:
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self" and node.attr in methods):
+            return f"bound method self.{node.attr}"
+        if isinstance(node, ast.Name) and node.id in closures:
+            return f"closure {node.id}() over self"
+        if isinstance(node, ast.Lambda) and _uses_self(node):
+            return "lambda over self"
+        return None
+    return hook
+
+
+def _handed(call: ast.Call, hook):
+    for arg in [*call.args, *(keyword.value for keyword in call.keywords)]:
+        what = hook(arg)
+        if what is not None:
+            yield arg, what
+
+
+def _check_ownership(tree: ast.AST, path: str):
+    if not path.startswith("src/repro/"):
+        return
+    cycle = "a part of self would hold self (a reference cycle)"
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = _bound_methods(cls)
+        for method in cls.body:
+            if not (isinstance(method, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                    and method.args.args
+                    and method.args.args[0].arg == "self"):
+                continue
+            hook = _owner_hooks(method, methods)
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr.startswith(
+                            ("add_", "register", "attach"))
+                        and _rooted_at_self(node.func.value)):
+                    sink = ".".join(_dotted(node.func))
+                    for arg, what in _handed(node, hook):
+                        yield ("OWN001", arg.lineno, arg.col_offset,
+                               f"{what} handed to {sink}(): {cycle}")
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign) and node.value:
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    if not (isinstance(target, ast.Attribute)
+                            and _rooted_at_self(target)):
+                        continue
+                    stored = ".".join(_dotted(target))
+                    value = node.value
+                    what = hook(value)
+                    if target.attr.startswith("on_") and what is not None:
+                        yield ("OWN001", value.lineno, value.col_offset,
+                               f"{what} assigned to {stored}: {cycle}")
+                    if (isinstance(value, ast.Call)
+                            and (_dotted(value.func) or ("",))[-1][:1]
+                            .isupper()):
+                        built = ".".join(_dotted(value.func))
+                        for arg, what in _handed(value, hook):
+                            yield ("OWN001", arg.lineno, arg.col_offset,
+                                   f"{what} passed to {built}() stored on "
+                                   f"{stored}: {cycle}")
+
+
 _ALL_CHECKS = (_check_host_clock, _check_host_random, _check_float_cycles,
-               _check_telemetry_names)
+               _check_telemetry_names, _check_ownership)
 
 
 # ---------------------------------------------------------------------------

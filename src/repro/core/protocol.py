@@ -15,7 +15,9 @@ delay the response by 754 simulated milliseconds.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..crypto.ecc import SECP160R1, generate_keypair
 from ..crypto.rng import DeterministicRng
@@ -36,16 +38,32 @@ from .verifier import VerificationResult, Verifier
 __all__ = ["ProverNode", "VerifierNode", "Session", "build_session"]
 
 
-class ProverNode:
+class _Node:
+    """A session endpoint: attaches itself to its channel.
+
+    The channel holds its endpoints, so an endpoint holds its channel
+    only weakly; the session that owns both keeps the channel alive.
+    """
+
+    def __init__(self, name: str, channel: DolevYaoChannel,
+                 sim: Simulation):
+        self.name = name
+        self._channel = weakref.ref(channel)
+        self.sim = sim
+        channel.attach(self)
+
+    @property
+    def channel(self) -> DolevYaoChannel:
+        return self._channel()
+
+
+class ProverNode(_Node):
     """Channel endpoint wrapping a :class:`ProverTrustAnchor`."""
 
     def __init__(self, name: str, anchor: ProverTrustAnchor,
                  channel: DolevYaoChannel, sim: Simulation):
-        self.name = name
         self.anchor = anchor
-        self.channel = channel
-        self.sim = sim
-        channel.attach(self)
+        super().__init__(name, channel, sim)
 
     @property
     def device(self) -> Device:
@@ -74,17 +92,14 @@ class ProverNode:
                 lambda: self.channel.send(self.name, sender, response))
 
 
-class VerifierNode:
+class VerifierNode(_Node):
     """Channel endpoint wrapping a :class:`Verifier`."""
 
     def __init__(self, name: str, verifier: Verifier,
                  channel: DolevYaoChannel, prover_name: str,
                  sim: Simulation):
-        self.name = name
         self.verifier = verifier
-        self.channel = channel
         self.prover_name = prover_name
-        self.sim = sim
         self._outstanding: list[AttestationRequest] = []
         self._request_times: dict[bytes, float] = {}
         self.results: list[VerificationResult] = []
@@ -95,7 +110,7 @@ class VerifierNode:
         #: so retries never fire faster than a round trip completes.
         self.last_result_time: float | None = None
         self.last_round_seconds: float | None = None
-        channel.attach(self)
+        super().__init__(name, channel, sim)
 
     def request_attestation(self) -> AttestationRequest:
         """Issue one attestation request towards the prover."""
@@ -329,6 +344,12 @@ class Session:
         return digest
 
 
+def _sim_seconds_to_ticks(sim: Simulation, resolution: float) -> int:
+    """Simulation time in prover clock ticks (a partial of this is two
+    collector-tracked objects per session; a closure would be four)."""
+    return int(sim.now / resolution)
+
+
 def build_session(*, profile: ProtectionProfile = ROAM_HARDENED,
                   auth_scheme: str = "speck-64/128-cbc-mac",
                   policy_name: str = "counter",
@@ -384,7 +405,7 @@ def build_session(*, profile: ProtectionProfile = ROAM_HARDENED,
     # seconds into prover ticks (synchronised-clocks assumption).
     if device.clock is not None:
         resolution = device.clock.resolution_seconds
-        clock_ticks = lambda: int(sim.now / resolution)  # noqa: E731
+        clock_ticks = partial(_sim_seconds_to_ticks, sim, resolution)
         window_ticks = max(1, int(timestamp_window_seconds / resolution))
     else:
         clock_ticks = None

@@ -28,6 +28,9 @@ register can silence the wrap interrupt.
 
 from __future__ import annotations
 
+import weakref
+from types import MethodType
+
 from ..errors import ConfigurationError
 from .cpu import CPU, ExecutionContext
 from .interrupts import InterruptController
@@ -120,12 +123,17 @@ class SoftwareClock:
         self.lsb_width_bits = lsb_width_bits
         self.divider = divider
         self.handler_cycles = handler_cycles
+        # The counter and the interrupt controller call back into the
+        # clock, and the clock holds both: its two hooks are bound to a
+        # weak proxy of the clock, so only the device keeps it alive.
+        clock = weakref.proxy(self)
         self.counter = HardwareCounter(
             cpu, width_bits=lsb_width_bits, divider=divider,
             software_writable=False,
-            on_wrap=self._on_wrap)
-        interrupts.register_entry_point(handler_address, code_clock_context,
-                                        self._handle_wrap_irq)
+            on_wrap=MethodType(SoftwareClock._on_wrap, clock))
+        interrupts.register_entry_point(
+            handler_address, code_clock_context,
+            MethodType(SoftwareClock._handle_wrap_irq, clock))
         interrupts.set_vector_raw(irq, handler_address)
         self.wraps_signalled = 0
         self.wraps_serviced = 0

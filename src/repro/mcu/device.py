@@ -145,8 +145,7 @@ class Device:
         self.energy = cfg.energy if cfg.energy is not None else EnergyModel(
             frequency_hz=cfg.frequency_hz)
         self.battery = Battery(cfg.battery_capacity_mj, self.energy)
-        self._energy_last_cycle = 0
-        self.cpu.add_cycle_listener(self._drain_battery)
+        self.cpu.add_cycle_listener(self.battery.on_cycles)
 
         # -- memory map -----------------------------------------------------
         self.memory = MemoryMap()
@@ -250,12 +249,15 @@ class Device:
         if not telemetry.enabled:
             return
         self.telemetry = telemetry
-        self.cpu.attach_telemetry(telemetry)
+        cpu = self.cpu
+        cpu.attach_telemetry(telemetry)
         cfg = self.config
 
+        # The hooks close over the CPU, not the device: a hook the
+        # device's parts hold must not lead back to the device.
         def on_mpu_fault(violation):
             telemetry.count("device.mpu_faults")
-            telemetry.event("mpu-fault", self.cpu.elapsed_seconds,
+            telemetry.event("mpu-fault", cpu.elapsed_seconds,
                             context=violation.context,
                             access=violation.access,
                             address=violation.address)
@@ -265,7 +267,7 @@ class Device:
         if self.clock is not None and self.clock.kind == "software":
             def on_clock_wrap(total_wraps):
                 telemetry.count("device.clock_wraps")
-                telemetry.event("clock-wrap", self.cpu.elapsed_seconds,
+                telemetry.event("clock-wrap", cpu.elapsed_seconds,
                                 wraps_serviced=total_wraps)
 
             self.clock.on_wrap_serviced = on_clock_wrap
@@ -352,16 +354,10 @@ class Device:
                 peripheral=self.clock.counter))
             self.clock_register_span = (base, base + size)
 
-    def _drain_battery(self, now: int, elapsed: int) -> None:
-        delta = self.cpu.cycle_count - self._energy_last_cycle
-        if delta > 0:
-            self.battery.drain_active(delta)
-            self._energy_last_cycle = self.cpu.cycle_count
-
     def sync_energy(self) -> None:
         """Flush energy accounting for cycles consumed inside nested
         interrupt dispatch (call before reading battery state)."""
-        self._drain_battery(self.cpu.cycle_count, 0)
+        self.battery.on_cycles(self.cpu.cycle_count)
         self.telemetry.set_gauge("device.energy_consumed_mj",
                                  self.battery.consumed_mj)
         self.telemetry.set_gauge("device.battery_fraction_remaining",

@@ -80,6 +80,8 @@ class Battery:
         self.consumed_mj = 0.0
         self.active_cycles = 0
         self.sleep_seconds = 0.0
+        #: CPU cycle count up to which active energy has been charged.
+        self.last_cycle = 0
 
     @property
     def remaining_mj(self) -> float:
@@ -99,6 +101,17 @@ class Battery:
         self.consumed_mj += energy
         self.active_cycles += cycles
         return energy
+
+    def on_cycles(self, now: int, elapsed: int = 0) -> None:
+        """CPU cycle listener: charge active energy up to cycle ``now``.
+
+        The CPU tells the battery the cycle count, so the battery holds
+        no reference back to it.
+        """
+        delta = now - self.last_cycle
+        if delta > 0:
+            self.drain_active(delta)
+            self.last_cycle = now
 
     def drain_sleep(self, seconds: float) -> float:
         """Charge ``seconds`` of deep sleep; returns mJ drained."""

@@ -19,6 +19,7 @@ primitive the roaming adversary uses in Section 5.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from ..errors import ConfigurationError, MemoryAccessViolation
@@ -38,7 +39,9 @@ class HardwareCounter:
     ----------
     cpu:
         Clock source; the counter registers itself as a cycle listener to
-        detect wrap-arounds.
+        detect wrap-arounds.  The CPU holds the counter, so the counter
+        holds its CPU only weakly: dropping the CPU's owner frees both
+        by reference counting.
     width_bits:
         Register width (Table 3 evaluates 64 and 32; Figure 1b uses a
         short counter, e.g. 16 bits).
@@ -61,7 +64,8 @@ class HardwareCounter:
             raise ConfigurationError(f"unsupported counter width {width_bits}")
         if divider < 1:
             raise ConfigurationError("divider must be >= 1")
-        self.cpu = cpu
+        self._cpu = weakref.ref(cpu)
+        self._frequency_hz = cpu.frequency_hz
         self.width_bits = width_bits
         self.divider = divider
         self.software_writable = software_writable
@@ -75,7 +79,7 @@ class HardwareCounter:
 
     def _unwrapped(self) -> int:
         """Monotonic tick count including the software base offset."""
-        return self.cpu.cycle_count // self.divider + self._base
+        return self._cpu().cycle_count // self.divider + self._base
 
     @property
     def value(self) -> int:
@@ -87,7 +91,7 @@ class HardwareCounter:
         return self.width_bits // 8
 
     def _on_cycles(self, now: int, elapsed: int) -> None:
-        unwrapped = self._unwrapped()
+        unwrapped = now // self.divider + self._base
         wraps = unwrapped // self._modulus - self._last_unwrapped // self._modulus
         self._last_unwrapped = unwrapped
         if wraps > 0 and self.on_wrap is not None:
@@ -131,12 +135,12 @@ class HardwareCounter:
     @property
     def resolution_seconds(self) -> float:
         """Seconds per tick (Section 6.3: 2^20 / 24 MHz ~= 43.7 ms)."""
-        return self.divider / self.cpu.frequency_hz
+        return self.divider / self._frequency_hz
 
     @property
     def wraparound_seconds(self) -> float:
         """Time until the register wraps (Section 6.3's lifetimes)."""
-        return self._modulus * self.divider / self.cpu.frequency_hz
+        return self._modulus * self.divider / self._frequency_hz
 
     @property
     def wraparound_years(self) -> float:

@@ -32,10 +32,11 @@ from ..net.channel import PassthroughAdversary
 from ..net.faults import FaultModel, FaultPipeline, GilbertElliottLoss
 
 __all__ = ["Table", "Field", "Codec", "SAME", "Nested", "Keyed", "Members",
-           "Log", "NUMBER", "INT", "BOOL", "STRING", "HEX", "HEX_SET",
-           "HEX_DEQUE", "LIST", "COUNTS", "RNG", "ADVERSARY", "capture",
-           "captured", "stage", "staged", "paused", "json_list", "b64",
-           "unb64", "rng_state", "encode_message", "decode_message"]
+           "Entry", "Log", "NUMBER", "INT", "BOOL", "OPT_BOOL", "STRING",
+           "HEX", "HEX_SET", "HEX_DEQUE", "LIST", "COUNTS", "RNG",
+           "ADVERSARY", "capture", "captured", "stage", "staged", "paused",
+           "json_list", "b64", "unb64", "rng_state", "encode_message",
+           "decode_message"]
 
 
 def paused(function, *args):
@@ -55,8 +56,7 @@ def paused(function, *args):
 def captured(table: "Table", obj, blobs, parent=None) -> dict:
     """:func:`capture` with the collector paused.  One collection of the
     two young generations after it stands in for those the capture
-    deferred, so full collections -- which free the cycles a replaced
-    fleet leaves behind -- keep their cadence."""
+    deferred."""
     state = paused(capture, table, obj, blobs, parent)
     gc.collect(1)
     return state
@@ -116,6 +116,7 @@ _object = _expect("an object", dict)
 NUMBER = Codec("number", _expect("a number", int, float))
 INT = Codec("number", _expect("int", int))
 BOOL = Codec("bool", _expect("a bool", bool))
+OPT_BOOL = Codec("bool", _expect("a bool or null", bool, type(None)))
 STRING = Codec("string", _expect("a string", str))
 HEX = Codec("string", bytes.fromhex, bytes.hex)
 HEX_SET = Codec("list", lambda value: set(map(bytes.fromhex,
@@ -211,22 +212,50 @@ class Members(Codec):
             stage(self.tables[0], member, record, blobs, commits)
 
 
+class Entry(Codec):
+    """A log entry's shape: a JSON list holding one element per value
+    codec, decoded to ``build(elements)``.  With ``width`` -- ``owner ->
+    int``, the object holding the log -- the entry is that many elements
+    of the one codec."""
+
+    json = "list"
+
+    def __init__(self, *codecs, build=tuple, encode=list, width=None):
+        self.codecs, self.build, self.encode = codecs, build, encode
+        self.width = width
+
+    def decode(self, row, width: int | None = None):
+        codecs = self.codecs if width is None else self.codecs * width
+        if type(row) is not list or len(row) != len(codecs):
+            raise TypeError(f"log entry must be a list of {len(codecs)}, "
+                            f"got {row!r:.40}")
+        return self.build([codec.decode(value)
+                           for codec, value in zip(codecs, row)])
+
+
 class Log(Codec):
-    """An append-only log, encoded entry by entry, and against a delta
+    """An append-only log, encoded entry by entry through ``entry`` (an
+    :class:`Entry` shape, or a codec of one record), and against a delta
     parent only its tail (see :mod:`repro.snapshot.delta`); ``counter``
     names the sibling row counting entries evicted from the front.  The
     scope-root table above sets ``name``, its dotted path."""
 
     json = "list"
 
-    def __init__(self, encode_entry, decode_entry, counter: str | None = None):
-        self.encode_entry, self.decode_entry = encode_entry, decode_entry
+    def __init__(self, entry: Codec, counter: str | None = None):
+        self.encode_entry, self.decode_entry = entry.encode, entry.decode
+        self.width = getattr(entry, "width", None)
         self.counter = counter
         self.name: str | None = None
 
     def decode(self, value) -> list:
         decode = self.decode_entry
         return [decode(entry) for entry in json_list(value)]
+
+    def stage_owned(self, owner, value, blobs, commits) -> list:
+        """Decode entries whose width the log's owner sets."""
+        decode, width = self.decode_entry, self.width(owner)
+        return [decode(entry, width) for entry in json_list(value)]
 
     def capture(self, entries, blobs, parent, key):
         evicted = 0
@@ -288,10 +317,14 @@ class Table:
                 self._capture.append((row.name, get, codec.encode,
                                       codec.capture, sub, row.present))
             owner, _, attr = row.path.rpartition(".")
+            owner = attrgetter(owner) if owner else None
+            decode, hook = codec.decode, codec.stage
+            if getattr(codec, "width", None) is not None:
+                # The entries' width is the owner's: stage through it.
+                get, decode, hook = owner or _itself, None, codec.stage_owned
             self._stage.append((
                 row.name, row.nullable or row.present is not None,
-                row.present, get, attrgetter(owner) if owner else None, attr,
-                codec.decode, codec.stage, sub))
+                row.present, get, owner, attr, decode, hook, sub))
         self._plain_names = tuple(row.name for row in plain)
         # One getter for them all; it returns a bare value for one path,
         # so the last path repeats (zip stops at the names).

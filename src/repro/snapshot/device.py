@@ -35,8 +35,8 @@ import hashlib
 
 from ..errors import SnapshotError
 from ..mcu.cpu import ExecutionContext
-from .codec import (LIST, NUMBER, SAME, Codec, Field, Log, Nested, Table,
-                    b64, json_list, unb64)
+from .codec import (INT, LIST, NUMBER, SAME, STRING, Codec, Entry, Field,
+                    Log, Nested, Table, b64, json_list, unb64)
 
 __all__ = ["DEVICE", "capture_region_delta", "chunk_index"]
 
@@ -246,9 +246,10 @@ INTERRUPTS = Table(
     "interrupts",
     ("pending", "_pending", LIST),
     ("mask_bits", "mask._bits", NUMBER),
-    ("coalesced", "coalesced_log", Log(list, tuple)),
-    ("dispatched", "dispatch_log", Log(list, tuple)),
-    ("dropped", "dropped_log", Log(list, tuple)))
+    # (cycle, irq), (cycle, irq, context) and (cycle, irq, reason).
+    ("coalesced", "coalesced_log", Log(Entry(INT, INT))),
+    ("dispatched", "dispatch_log", Log(Entry(INT, INT, STRING))),
+    ("dropped", "dropped_log", Log(Entry(INT, INT, STRING))))
 
 #: A device's mutable state.
 DEVICE = Table(
@@ -257,7 +258,7 @@ DEVICE = Table(
           present=lambda device: device.boot_profile is not None),
     ("boot_log", "boot_log", LIST),
     ("cpu_cycles", "cpu.cycle_count", NUMBER),
-    ("energy_last_cycle", "_energy_last_cycle", NUMBER),
+    ("energy_last_cycle", "battery.last_cycle", NUMBER),
     ("battery", "battery", Nested(BATTERY)),
     ("regions", "", Codec("list", capture=_capture_regions,
                           stage=_stage_regions)),

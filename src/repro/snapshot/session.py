@@ -23,9 +23,9 @@ from ..errors import SnapshotError
 from ..net.trace import TranscriptEntry
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceEvent
-from .codec import (ADVERSARY, COUNTS, HEX_DEQUE, HEX_SET, NUMBER, RNG, Codec,
-                    Field, Log, Nested, Table, b64, decode_message,
-                    encode_message, json_list)
+from .codec import (ADVERSARY, BOOL, COUNTS, HEX_DEQUE, HEX_SET, NUMBER,
+                    OPT_BOOL, RNG, STRING, Codec, Entry, Field, Log, Nested,
+                    Table, b64, decode_message, encode_message, json_list)
 from .device import DEVICE
 
 __all__ = ["SESSION", "REGISTRY"]
@@ -64,11 +64,6 @@ def _decode_transcript_entry(record: dict) -> TranscriptEntry:
                            record["outcome"])
 
 
-def _decode_interval(row) -> tuple:
-    start, end = row
-    return (start, end)
-
-
 def _decode_trace_event(record: dict) -> TraceEvent:
     # Events are rebuilt verbatim with their original seqs:
     # extend_records() re-sequences, which would break replay-to-seq
@@ -90,7 +85,8 @@ CHANNEL = Table(
     ("duplicated", "duplicated", NUMBER),
     Field("adversary", "adversary", ADVERSARY, nullable=True),
     ("transcript", "transcript._entries",
-     Log(_encode_transcript_entry, _decode_transcript_entry)))
+     Log(Codec("object", _decode_transcript_entry,
+               _encode_transcript_entry))))
 
 VERIFIER = Table(
     "verifier",
@@ -107,8 +103,10 @@ VERIFIER_NODE = Table(
     ("outstanding", "_outstanding", REQUESTS),
     ("request_times", "_request_times", REQUEST_TIMES),
     ("results", "results",
-     Log(lambda r: [r.authentic, r.state_known_good, r.detail],
-         lambda row: VerificationResult(*row))),
+     Log(Entry(BOOL, OPT_BOOL, STRING,
+               build=lambda row: VerificationResult(*row),
+               encode=lambda r: [r.authentic, r.state_known_good,
+                                 r.detail]))),
     Field("last_result_time", "last_result_time", NUMBER, nullable=True),
     Field("last_round_seconds", "last_round_seconds", NUMBER,
           nullable=True))
@@ -130,14 +128,15 @@ ANCHOR = Table(
     "anchor",
     Field("last_attest_seconds", "_last_attest_seconds", NUMBER,
           nullable=True),
-    ("busy_intervals", "busy_intervals", Log(list, _decode_interval)),
+    ("busy_intervals", "busy_intervals", Log(Entry(NUMBER, NUMBER))),
     ("stats", "stats", Nested(STATS)),
     ("nonces", "state._nonces", Nested(NONCES)))
 
 TRACE = Table(
     "trace",
     ("records", "events",
-     Log(TraceEvent.as_dict, _decode_trace_event, counter="dropped_events")),
+     Log(Codec("object", _decode_trace_event, TraceEvent.as_dict),
+         counter="dropped_events")),
     ("seq", "_seq", NUMBER),
     ("dropped_events", "dropped_events", NUMBER),
     ("max_events", "max_events", NUMBER))

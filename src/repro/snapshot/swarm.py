@@ -24,8 +24,8 @@ untouched.
 from __future__ import annotations
 
 from ..errors import SnapshotError
-from .codec import (NUMBER, SAME, STRING, Field, Keyed, Log, Members, Nested,
-                    Table)
+from .codec import (INT, NUMBER, SAME, STRING, Entry, Field, Keyed, Log,
+                    Members, Nested, Table)
 from .session import SESSION
 
 __all__ = ["SWARM", "join_swarm_states", "split_swarm_state"]
@@ -33,7 +33,7 @@ __all__ = ["SWARM", "join_swarm_states", "split_swarm_state"]
 BREAKER = Table("breaker", ("state", "state", STRING),
                 ("consecutive_failures", "consecutive_failures", NUMBER),
                 ("probes_skipped", "probes_skipped", NUMBER),
-                ("transitions", "transitions", Log(list, tuple)))
+                ("transitions", "transitions", Log(Entry(STRING, STRING))))
 
 MEMBER = Table("member", ("device_id", "device_id", SAME),
                ("index", "index", SAME),
@@ -47,7 +47,9 @@ SWARM = Table(
     ("sweeps_run", "sweeps_run", NUMBER),
     ("members", "members", Members(MEMBER, "swarm")),
     ("breakers", "breakers", Keyed(BREAKER, "circuit-breaker")),
-    Field("trace_marks", "_trace_marks", Log(list, list),
+    # One row per recorded sweep, one watermark per member.
+    Field("trace_marks", "_trace_marks",
+          Log(Entry(INT, build=list, width=lambda swarm: len(swarm.members))),
           present=lambda swarm: swarm.observe),
     scope="swarm")
 

@@ -139,6 +139,64 @@ class TestTelemetryNameRule:
         assert rules_in(source) == set()
 
 
+class TestOwnershipRule:
+    def test_bound_method_registered_on_a_part_flagged(self):
+        source = ("class Device:\n"
+                  "    def __init__(self, cpu):\n"
+                  "        self.cpu = cpu\n"
+                  "        self.cpu.add_cycle_listener(self._drain)\n"
+                  "    def _drain(self, now, elapsed):\n"
+                  "        pass\n")
+        assert "OWN001" in rules_in(source)
+
+    def test_closure_over_self_on_a_hook_flagged(self):
+        source = ("class Device:\n"
+                  "    def attach(self, telemetry):\n"
+                  "        def on_fault(violation):\n"
+                  "            telemetry.seen = self.cpu\n"
+                  "        self.mpu.on_violation = on_fault\n")
+        assert "OWN001" in rules_in(source)
+
+    def test_bound_method_passed_to_a_stored_constructor_flagged(self):
+        source = ("class Clock:\n"
+                  "    def __init__(self, cpu):\n"
+                  "        self.counter = Counter(cpu, on_wrap=self._wrap)\n"
+                  "    def _wrap(self, wraps):\n"
+                  "        pass\n")
+        assert "OWN001" in rules_in(source)
+
+    def test_hooks_without_a_way_back_are_clean(self):
+        """A part's own bound method, a closure over other locals, and
+        a receiver the owner does not hold are all allowed."""
+        source = ("class Device:\n"
+                  "    def __init__(self, cpu):\n"
+                  "        self.cpu = cpu\n"
+                  "        self.cpu.add_cycle_listener(self.battery.drain)\n"
+                  "        cpu.add_cycle_listener(self._drain)\n"
+                  "        self.total = sum(self._drain(0, 0) for _ in ())\n"
+                  "    def attach(self, telemetry):\n"
+                  "        cpu = self.cpu\n"
+                  "        def on_fault(violation):\n"
+                  "            telemetry.seen = cpu\n"
+                  "        self.mpu.on_violation = on_fault\n"
+                  "    def _drain(self, now, elapsed):\n"
+                  "        pass\n"
+                  "    @property\n"
+                  "    def level(self):\n"
+                  "        return 1\n"
+                  "    def gauge(self):\n"
+                  "        self.meter = Meter(self.level)\n")
+        assert rules_in(source) == set()
+
+    def test_outside_src_unscoped(self):
+        source = ("class Fixture:\n"
+                  "    def setup(self):\n"
+                  "        self.cpu.add_cycle_listener(self.tick)\n"
+                  "    def tick(self, now, elapsed):\n"
+                  "        pass\n")
+        assert rules_in(source, "tests/test_something.py") == set()
+
+
 class TestWaivers:
     def test_waiver_matches_rule_and_path(self):
         waiver = Waiver(rule="DET002", path=SIM_PATH, reason="test double")
@@ -223,7 +281,9 @@ class TestTaintedFixtureTree:
     def test_every_seeded_rule_detected(self):
         report = lint_tree(REPO / "tests/analysis/fixtures/seeded")
         assert {v.rule for v in report.violations} == {
-            "DET001", "DET002", "FLT001", "TEL001"}
+            "DET001", "DET002", "FLT001", "TEL001", "OWN001"}
+        owned = [v for v in report.violations if v.rule == "OWN001"]
+        assert len(owned) == 3
         assert not report.clean
 
     def test_fixture_does_not_taint_repo_root_lint(self, repo_lint):

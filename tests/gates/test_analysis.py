@@ -10,7 +10,7 @@
 3. **Determinism** -- the combined ``repro.analysis/v1`` report is
    schema-valid and byte-identical across two independent builds.
 4. **Failure mode** -- linting the seeded fixture tree flags every
-   seeded rule (DET001, DET002, FLT001, TEL001); mapped to
+   seeded rule (DET001, DET002, FLT001, TEL001, OWN001); mapped to
    ``tests/analysis/test_lint.py::TestTaintedFixtureTree::
    test_every_seeded_rule_detected``.  The test below checks that the
    seeded-rule check gates at all.
@@ -22,7 +22,7 @@ from repro.analysis import (build_report, lint_tree, load_waivers,
                             render_report_json, verify_shipped_profiles)
 from tests.conftest import REPO, run_cli
 
-SEEDED_RULES = {"DET001", "DET002", "FLT001", "TEL001"}
+SEEDED_RULES = {"DET001", "DET002", "FLT001", "TEL001", "OWN001"}
 
 
 def test_repo_lints_clean_through_the_cli():

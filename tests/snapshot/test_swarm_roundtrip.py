@@ -330,6 +330,11 @@ def inverted_context(document):
          "uninterruptible": False, "entry_points": None})
 
 
+def short_trace_marks(document):
+    """The first sweep's watermark row misses the last member."""
+    document["state"]["trace_marks"][0].pop()
+
+
 def raise_rate(document):
     for bucket in document["state"]["buckets"].values():
         bucket["rate"] += 1.0
@@ -420,6 +425,7 @@ class TestHostileFullDocuments:
         (hostile_swarm, run_swarm, inverted_context),
         (hostile_swarm, run_swarm,
          set_field("anchor.stats.rejected", {"bad-tag": None})),
+        (hostile_swarm, run_swarm, short_trace_marks),
     ], ids=["transcript-tail", "busy-intervals-tail", "results-int",
             "service-transcript-tail", "mpu-base64", "message-base64",
             "no-sim", "nonce-hex", "reference-hex", "no-clock",
@@ -428,7 +434,8 @@ class TestHostileFullDocuments:
             "service-rate",
             "service-no-sim", "cycles-null", "now-null", "delivered-null",
             "next-counter-null", "requests-issued-null", "energy-null",
-            "boot-log-string", "context-inverted", "rejected-count-null"])
+            "boot-log-string", "context-inverted", "rejected-count-null",
+            "trace-marks-short"])
     def test_refused_without_mutation(self, build, run, mutate):
         live = build()
         run(live)
