@@ -6,15 +6,17 @@ confidentiality claim is cross-checked *dynamically*, in the spirit of
 the invariant verifier's static-vs-dynamic gate: provision a fleet and
 a service tier with a high-entropy canary master key, run real
 attestation rounds, then scan every serialized artifact (registry
-dumps, merged traces, snapshot documents minus blob payloads, session
-summaries, service request records) for any encoding of the master or
-per-device keys (hex in both cases, base64, ``repr`` of the bytes).
+dumps, merged traces, snapshot documents, session summaries, service
+request records) for any encoding of the master or per-device keys
+(hex in both cases, base64, ``repr`` of the bytes).
 
-The snapshot *blob payloads* are the one declared policy sink (the
-simulated memory legitimately contains ``K_Attest``), so they are
-elided from the scan -- and then decoded and scanned for the raw key
-bytes as a *control*: the hunt must find the key exactly where the
-policy says it lives, proving the scanner is sharp enough for its
+The snapshot *blob payloads* -- memory images -- are scanned apart:
+decoded, then searched for the raw key bytes.  The default build keeps
+``K_Attest`` in ROM, and a checkpoint carries ROM only as its
+fingerprint, so its decoded blobs must hold no key.  The *control* is
+a build with ``key_in_rom=False``: its key sits in flash, which is
+writable and travels, so the hunt must find the raw key in that
+build's decoded blobs -- proving the scanner is sharp enough for its
 verdict on everything else to mean something.
 
 ``leak=True`` plants a deliberate telemetry-event leak (the key's hex
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass
 
 __all__ = ["CANARY_MASTER_KEY", "CanaryHit", "CanaryReport",
-           "needles_for_key", "scan_text", "run_canary_hunt"]
+           "needles_for_key", "scan_text", "scan_blobs", "run_canary_hunt"]
 
 #: A fixed high-entropy 16-byte master key (not derivable from any
 #: string the artifacts would naturally contain).
@@ -66,7 +68,7 @@ class CanaryReport:
     leak_planted: bool
     artifacts_scanned: tuple[str, ...]
     hits: tuple[CanaryHit, ...]
-    control_hit: bool        # raw key found inside decoded blob payloads
+    control_hit: bool        # raw key found in a key-in-flash build's blobs
 
     @property
     def clean(self) -> bool:
@@ -92,22 +94,33 @@ def _scrub_blobs(document: dict) -> tuple[str, dict]:
     return json.dumps(scrubbed, sort_keys=True, default=repr), blobs
 
 
+def scan_blobs(artifact: str, blobs: dict,
+               raw_keys: dict[str, bytes]) -> list["CanaryHit"]:
+    """Hits for every raw key found in a snapshot's decoded blob
+    payloads; base64 is decoded first so alignment can't hide it."""
+    payloads = [base64.b64decode(payload) for payload in blobs.values()]
+    return [CanaryHit(artifact=artifact, needle=f"{label}/raw")
+            for label, key in sorted(raw_keys.items())
+            if any(key in raw for raw in payloads)]
+
+
 def run_canary_hunt(*, size: int = 3, sweeps: int = 2, waves: int = 2,
                     leak: bool = False,
                     master_key: bytes = CANARY_MASTER_KEY) -> CanaryReport:
     """Provision, attest, serialize, scan.  Deterministic throughout."""
     from ..crypto.kdf import derive_device_key
+    from ..mcu.device import DeviceConfig
     from ..services.attestd import AttestationService, build_schedule
     from ..services.swarm import Swarm
 
     needles: dict[str, str] = {}
     needles.update(needles_for_key("master", master_key))
-    raw_keys = [master_key]
+    raw_keys = {"master": master_key}
     for index in range(size):
         device_id = f"device-{index:03d}"
         device_key = derive_device_key(master_key, device_id)
         needles.update(needles_for_key(device_id, device_key))
-        raw_keys.append(device_key)
+        raw_keys[device_id] = device_key
 
     swarm = Swarm(size, master_key=master_key, observe=True,
                   seed="canary")
@@ -147,22 +160,27 @@ def run_canary_hunt(*, size: int = 3, sweeps: int = 2, waves: int = 2,
     hits: list[CanaryHit] = []
     for name in sorted(artifacts):
         hits.extend(scan_text(name, artifacts[name], needles))
+    # The images of a key-in-ROM build: ROM travels as its fingerprint,
+    # so no key may be found in them.
+    hits.extend(scan_blobs("swarm-snapshot-blobs", swarm_blobs, raw_keys))
+    hits.extend(scan_blobs("service-snapshot-blobs", service_blobs,
+                           raw_keys))
 
-    # Control: the decoded blob payloads MUST contain the raw device
-    # keys (region images hold K_Attest by design); base64 is decoded
-    # first so alignment can't hide the needle.
-    control_hit = False
-    for blobs in (swarm_blobs, service_blobs):
-        for payload in blobs.values():
-            raw = base64.b64decode(payload)
-            if any(key in raw for key in raw_keys[1:]):
-                control_hit = True
-                break
-        if control_hit:
-            break
+    # Control: a key-in-flash build's images MUST contain every raw
+    # device key, since flash is writable memory and travels.
+    flash_keyed = Swarm(size, master_key=master_key,
+                        device_config=DeviceConfig(key_in_rom=False),
+                        seed="canary-flash")
+    flash_keyed.sweep()
+    device_keys = {label: key for label, key in raw_keys.items()
+                   if label != "master"}
+    control_hit = len(scan_blobs(
+        "control-snapshot-blobs", flash_keyed.snapshot()["blobs"],
+        device_keys)) == len(device_keys)
 
     return CanaryReport(
         leak_planted=leak,
-        artifacts_scanned=tuple(sorted(artifacts)),
+        artifacts_scanned=tuple(sorted([*artifacts, "swarm-snapshot-blobs",
+                                        "service-snapshot-blobs"])),
         hits=tuple(hits),
         control_hit=control_hit)

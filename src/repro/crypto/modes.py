@@ -21,7 +21,8 @@ from typing import Protocol
 
 from ..errors import InvalidBlockError, PaddingError
 
-__all__ = ["BlockCipher", "CBC", "cbc_mac", "pkcs7_pad", "pkcs7_unpad"]
+__all__ = ["BlockCipher", "CBC", "cbc_mac", "cbc_mac_first_block",
+           "pkcs7_pad", "pkcs7_unpad"]
 
 
 class BlockCipher(Protocol):
@@ -105,7 +106,17 @@ class CBC:
         return pkcs7_unpad(bytes(out), self.block_size)
 
 
-def cbc_mac(cipher: BlockCipher, message: bytes) -> bytes:
+def cbc_mac_first_block(cipher: BlockCipher, length: int) -> bytes:
+    """The chaining value after the first block of every ``length``-byte
+    message's :func:`cbc_mac`: the encrypted length block (the IV is
+    zero).  It depends only on the key and the length, so a holder that
+    tags many messages of one length may compute it once."""
+    return cipher.encrypt_block(
+        length.to_bytes(8, "big").rjust(cipher.block_size, b"\x00"))
+
+
+def cbc_mac(cipher: BlockCipher, message: bytes,
+            first_block: bytes | None = None) -> bytes:
     """Compute the CBC-MAC tag of ``message`` (last ciphertext block, IV=0).
 
     The message is length-prefix encoded (8-byte big-endian length block
@@ -113,13 +124,14 @@ def cbc_mac(cipher: BlockCipher, message: bytes) -> bytes:
     safe for variable-length inputs as well (the prefix-free encoding
     defeats the classic length-extension forgery).  Attestation requests in
     this library have fixed length anyway; the encoding is belt and braces.
+    ``first_block`` is :func:`cbc_mac_first_block` of the message length,
+    when the caller holds it.
     """
     block_size = cipher.block_size
-    encoded = len(message).to_bytes(8, "big").rjust(block_size, b"\x00") + message
-    if len(encoded) % block_size:
-        encoded += b"\x00" * (block_size - len(encoded) % block_size)
-    state = b"\x00" * block_size
-    for offset in range(0, len(encoded), block_size):
-        block = encoded[offset:offset + block_size]
+    state = (cbc_mac_first_block(cipher, len(message))
+             if first_block is None else first_block)
+    message = bytes(message) + b"\x00" * (-len(message) % block_size)
+    for offset in range(0, len(message), block_size):
+        block = message[offset:offset + block_size]
         state = cipher.encrypt_block(_xor_block(state, block))
     return state

@@ -57,6 +57,10 @@ class Simulation:
     def pending(self) -> int:
         return len(self._queue)
 
+    def discard_pending(self) -> None:
+        """Drop every scheduled event without running it."""
+        self._queue.clear()
+
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
         if not self._queue:

@@ -1,7 +1,8 @@
 """Content-addressed memory-image store for snapshot documents.
 
 A fleet snapshot would naively cost O(N * writable_bytes): every member
-carries a full RAM + flash + ROM image.  But fleet members are built
+carries a full RAM + flash image (ROM travels as its fingerprint only).
+But fleet members are built
 from one :class:`~repro.mcu.device.DeviceConfig` and mostly share byte
 ranges -- the firmware image in flash is identical across the fleet and
 honest RAM above the reserved words never diverges.  The repo already

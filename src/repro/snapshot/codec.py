@@ -31,9 +31,9 @@ from ..errors import ConfigurationError, ProtocolError, SnapshotError
 from ..net.channel import PassthroughAdversary
 from ..net.faults import FaultModel, FaultPipeline, GilbertElliottLoss
 
-__all__ = ["Table", "Field", "Codec", "SAME", "Nested", "Keyed", "Members",
-           "Entry", "Log", "NUMBER", "INT", "BOOL", "OPT_BOOL", "STRING",
-           "HEX", "HEX_SET", "HEX_DEQUE", "LIST", "COUNTS", "RNG",
+__all__ = ["Table", "Field", "Codec", "SAME", "SAME_HEX", "Nested", "Keyed",
+           "Members", "Entry", "Log", "NUMBER", "INT", "BOOL", "OPT_BOOL",
+           "STRING", "HEX", "HEX_SET", "HEX_DEQUE", "LIST", "COUNTS", "RNG",
            "ADVERSARY", "capture", "captured", "stage", "staged", "paused",
            "json_list", "b64", "unb64", "rng_state", "encode_message",
            "decode_message"]
@@ -139,6 +139,10 @@ def _same(live, state, blobs, commits: list) -> None:
 #: A value of the rebuilt object the document must agree with:
 #: captured, compared on restore, never written.
 SAME = Codec(None, stage=_same)
+#: A :data:`SAME` value held as bytes, travelling as lowercase hex.
+SAME_HEX = Codec("string", encode=bytes.hex,
+                 stage=lambda live, state, blobs, commits: _same(
+                     live.hex(), state, blobs, commits))
 
 
 class Nested(Codec):

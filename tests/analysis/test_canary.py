@@ -3,9 +3,10 @@
 The hunt provisions a real fleet with a known canary master key, runs
 real attestation rounds through the swarm and the asyncio service, then
 scans every serialized artifact for any textual encoding of any key.
-Both directions must hold: a clean build yields zero hits (with the
-raw-bytes control proving the scanner *would* see a leak), and a build
-with a planted leak is caught.
+Both directions must hold: a clean build yields zero hits, its decoded
+checkpoint images included (with the raw-bytes control on a key-in-flash
+build proving the scanner *would* see a leak), and a build with a
+planted leak is caught.
 """
 
 from repro.analysis.canary import (CANARY_MASTER_KEY, needles_for_key,
@@ -34,10 +35,10 @@ class TestHunt:
         report = run_canary_hunt(size=2, sweeps=1, waves=1)
         assert report.clean, [(h.artifact, h.needle) for h in report.hits]
         assert report.control_hit, (
-            "raw key bytes missing from decoded blobs -- the scanner "
-            "is blind, a clean verdict proves nothing")
+            "raw key bytes missing from a key-in-flash build's decoded "
+            "blobs -- the scanner is blind, a clean verdict proves nothing")
         assert not report.leak_planted
-        assert len(report.artifacts_scanned) == 8
+        assert len(report.artifacts_scanned) == 10
 
     def test_planted_leak_is_caught(self):
         report = run_canary_hunt(size=2, sweeps=1, waves=1, leak=True)

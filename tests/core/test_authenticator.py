@@ -9,6 +9,7 @@ from repro.core.authenticator import (AesCbcMacAuthenticator,
                                       make_symmetric_authenticator)
 from repro.crypto.costmodel import CryptoCostModel
 from repro.crypto.ecc import SECP160R1, generate_keypair
+from repro.crypto.modes import cbc_mac
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ConfigurationError
 
@@ -102,6 +103,44 @@ class TestEcdsa:
     def test_needs_some_key(self):
         with pytest.raises(ConfigurationError):
             EcdsaAuthenticator()
+
+
+class TestCbcMacFirstBlock:
+    """A CBC-MAC authenticator encrypts a payload length's constant
+    first block once: later tags of that length equal the stateless
+    :func:`cbc_mac` with one block encryption fewer."""
+
+    @pytest.mark.parametrize("cls", [AesCbcMacAuthenticator,
+                                     SpeckCbcMacAuthenticator])
+    def test_tags_equal_the_stateless_mac_one_encryption_cheaper(
+            self, cls, monkeypatch):
+        calls = []
+        encrypt = cls.cipher.encrypt_block
+        monkeypatch.setattr(cls.cipher, "encrypt_block",
+                            lambda cipher, block: calls.append(block)
+                            or encrypt(cipher, block))
+
+        def counted(tag, payload):
+            calls.clear()
+            return tag(payload), len(calls)
+
+        auth, cipher = cls(KEY), cls.cipher(KEY)
+        for length in range(41):
+            payload = bytes(range(length))
+            expected, stateless = counted(lambda p: cbc_mac(cipher, p),
+                                          payload)
+            assert counted(auth.tag, payload) == (expected, stateless)
+            for _ in range(2):
+                assert counted(auth.tag, payload) == (expected,
+                                                      stateless - 1)
+
+    def test_the_simulated_charge_is_unchanged(self, model):
+        auth = SpeckCbcMacAuthenticator(KEY)
+        before = auth.prover_validation_cycles(model)
+        auth.tag(PAYLOAD)
+        auth.tag(PAYLOAD)
+        assert auth.prover_validation_cycles(model) == before == \
+            model.request_validation_cycles("speck-64/128-cbc-mac")
 
 
 class TestCostOrdering:

@@ -25,11 +25,11 @@ from repro.services.swarm import Swarm
 from repro.snapshot import document_id
 from tests.conftest import tiny_config
 
-SESSION_ID = "bfe5b7d20ac6630fa9a7dc7d0190aa30d7197476"
-SWARM_ID = "1a58f2748902dc00eb377173c03b8c3d4fa4554d"
-SWARM_DELTA_ID = "4382c904ffbe42dbbed653cfb2c1cd000c4fb7f2"
-SERVICE_ID = "cde48465d236123da25f9bb7dd64a61acc9bdfd4"
-ENGINE_ID = "92daa2b2bbb700c8c34294289a573a9da7a2833f"
+SESSION_ID = "c950945c706ac5902240de25caa4773db322dad1"
+SWARM_ID = "915e5f4fc5247dd6e49c549dc61342257df305e5"
+SWARM_DELTA_ID = "be9f0642a8d5076824d4c4a407877dacf9dea7ff"
+SERVICE_ID = "ee7b83f3ec33dbfeb3ad074bd0e7c6e197c04156"
+ENGINE_ID = "5e79b6f0641eb079db2f4dea8b8d5c425d9b8868"
 
 
 def retry() -> RetryPolicy:

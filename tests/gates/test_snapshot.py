@@ -10,9 +10,9 @@
    swarm.
 3. **Replay** -- ``replay_to_seq`` reproduces the uninterrupted run's
    merged trace prefix exactly, ending on the requested seq.
-4. **Dedup** -- a size-N honest fleet snapshot holds exactly N + 2
-   memory images (per-member ROM keys; one shared flash, one shared
-   RAM) and survives JSON and disk round trips unchanged.
+4. **Dedup** -- a size-N honest fleet snapshot holds exactly 2 memory
+   images whatever N (one shared flash, one shared RAM; ROM travels as
+   its fingerprint) and survives JSON and disk round trips unchanged.
 """
 
 import json
@@ -112,10 +112,10 @@ def test_replay_reproduces_the_trace_prefix(uninterrupted):
 
 def test_snapshot_dedups_images_and_round_trips(uninterrupted, tmp_path):
     document, _, _ = uninterrupted
-    assert len(document["blobs"]) == SIZE + 2, (
+    assert len(document["blobs"]) == 2, (
         f"dedup: size-{SIZE} fleet snapshot holds {len(document['blobs'])} "
-        f"memory images, expected {SIZE + 2} (N member ROMs + shared "
-        f"flash + ram)")
+        f"memory images, expected 2 (shared flash + ram; ROM travels as "
+        f"its fingerprint)")
     assert document == json.loads(json.dumps(document)), \
         "dedup: document does not survive a JSON round trip unchanged"
     path = tmp_path / "checkpoint.json"

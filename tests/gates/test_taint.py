@@ -9,8 +9,9 @@
    direct and helper-mediated, KEY002, KEY003) through the CLI; an
    analyzer that cannot see planted leaks proves nothing.
 3. **Canary agreement** -- the dynamic leak hunt agrees with the static
-   verdict both ways: a clean build scans clean *with a live raw-bytes
-   control*, and a build with a planted leak is caught.
+   verdict both ways: a clean build scans clean, its decoded checkpoint
+   images included, *with a live raw-bytes control* on a key-in-flash
+   build, and a build with a planted leak is caught.
 4. **Determinism** -- the combined ``repro.analysis/v1`` document
    (profiles + lint + taint) is schema-valid and byte-identical across
    two independent builds.
@@ -102,8 +103,11 @@ def test_canary_agrees_with_the_static_verdict_both_ways():
     hunt = run_canary_hunt(size=2, sweeps=1, waves=1)
     assert hunt.clean, "canary: clean build leaked: " + ", ".join(
         f"{h.needle} in {h.artifact}" for h in hunt.hits)
-    assert hunt.control_hit, ("canary: raw-bytes control missing from "
-                              "decoded blobs -- the scanner is blind")
+    assert {"swarm-snapshot-blobs", "service-snapshot-blobs"} <= set(
+        hunt.artifacts_scanned), "canary: decoded blobs were not scanned"
+    assert hunt.control_hit, ("canary: raw-bytes control missing from a "
+                              "key-in-flash build's decoded blobs -- the "
+                              "scanner is blind")
     leaky = run_canary_hunt(size=2, sweeps=1, waves=1, leak=True)
     assert not leaky.clean, "canary: planted telemetry leak was not caught"
 

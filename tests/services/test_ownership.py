@@ -150,6 +150,21 @@ def test_dropping_the_last_reference_frees_every_region(build,
     assert leftover_repro_objects() == []
 
 
+def test_session_dropped_with_an_event_queued_frees_every_region(
+        collector_off):
+    """A queued delivery closes over the channel, which holds the
+    simulation whose queue holds the delivery: the dropped session
+    discards it, so nothing waits for the collector."""
+    live = session(device_config=tiny_config(), telemetry=Telemetry())()
+    live.verifier_node.request_attestation()
+    assert live.sim.pending == 1
+    refs = regions(live)
+    assert len(refs) == 6
+    del live
+    assert [ref() for ref in refs if ref() is not None] == []
+    assert leftover_repro_objects() == []
+
+
 def test_build_sweep_drop_loop_holds_no_region(collector_off):
     live = weakref.WeakSet()
     for _ in range(20):

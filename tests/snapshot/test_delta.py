@@ -857,7 +857,7 @@ class TestIndexedFullParent:
         assert record["chunk_size"] == DEFAULT_CHUNK_SIZE
         assert unb64(root["blobs"][record["index"]]) == b"".join(
             ram.digest_tree.leaf_digests(ram._data))
-        assert "index" not in regions(root)["rom"]   # no tree, no index
+        assert "rom" not in regions(root)   # ROM travels as a fingerprint
 
     def test_capture_needs_no_parent_image(self):
         swarm = build_swarm(seed="delta-imageless-root")

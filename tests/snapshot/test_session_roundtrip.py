@@ -134,23 +134,24 @@ class TestGuards:
 class TestBlobDedup:
     def test_identical_members_share_flash_and_ram_images(self):
         # In an honest fleet every member runs the same firmware, so a
-        # size-N snapshot should hold N unique ROM images (per-member
-        # keys live there) plus ONE shared flash and ONE shared ram.
+        # size-N snapshot holds ONE shared flash and ONE shared ram,
+        # whatever N: ROM, where the per-member keys live, travels only
+        # as its fingerprint.
         for size in (2, 5):
             swarm = Swarm(size, seed="dedup")
             swarm.sweep()
             document = swarm.snapshot()
-            assert len(document["blobs"]) == size + 2
+            assert len(document["blobs"]) == 2
 
     def test_incremental_members_share_index_rows_too(self):
         # With digest trees, the shared flash and ram records each also
         # carry one chunk-digest index row -- equal bytes give equal
-        # rows, so N ROMs + 2 shared images + 2 shared rows.
+        # rows, so 2 shared images + 2 shared rows.
         for size in (2, 5):
             swarm = Swarm(size, seed="dedup", incremental=True)
             swarm.sweep()
             document = swarm.snapshot()
-            assert len(document["blobs"]) == size + 4
+            assert len(document["blobs"]) == 4
 
     def test_diverged_member_adds_images(self):
         swarm = Swarm(3, seed="dedup-div")
@@ -159,4 +160,4 @@ class TestBlobDedup:
         ram = device.memory.region("ram")
         ram.store(ram.size - 4, b"\xde\xad\xbe\xef")
         document = swarm.snapshot()
-        assert len(document["blobs"]) == 3 + 2 + 1
+        assert len(document["blobs"]) == 2 + 1
