@@ -427,14 +427,16 @@ class Swarm:
         stored.  See :mod:`repro.snapshot` and
         :mod:`repro.snapshot.delta`.
         """
-        from ..snapshot import BlobStore, DeltaBase, make_document
+        from ..snapshot import (BlobStore, DeltaBase, document_id,
+                                make_document)
         from ..snapshot.codec import captured
         from ..snapshot.swarm import SWARM
         blobs = BlobStore()
         base = (DeltaBase.from_document(parent, "swarm")
                 if parent is not None else None)
         state = captured(SWARM, self, blobs, base)
-        return make_document("swarm", state, blobs, parent=parent)
+        return make_document("swarm", state, blobs, parent_id=(
+            None if parent is None else document_id(parent)))
 
     def freshness_fingerprint(self) -> str:
         """SHA-1 over every member's verifier freshness state (next
